@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "fast/protocol.hh"
-#include "fm/smp.hh"
-#include "tm/smp_core.hh"
 
 namespace fastsim {
 namespace fast {
@@ -38,105 +36,51 @@ Guardrails::notePoll(std::uint64_t committed_insts, std::uint64_t aux_progress)
 }
 
 std::string
-Guardrails::diagnose(const fm::FuncModel &fm, const tm::Core &core,
-                     const tm::TraceBuffer &tb, const ProtocolEngine &engine,
+Guardrails::diagnose(Cycle cycle, const std::vector<CoreView> &cores,
+                     const ProtocolEngine &engine,
+                     const tm::ModuleRegistry &fabric,
                      const std::string &runner_state) const
 {
     char line[256];
     std::string d = "no-progress watchdog: structured diagnosis\n";
     std::snprintf(line, sizeof(line),
-                  "  polls without commit: %llu (budget %llu)\n",
-                  static_cast<unsigned long long>(pollsSinceProgress_),
-                  static_cast<unsigned long long>(cfg_.watchdogBudget));
-    d += line;
-    std::snprintf(
-        line, sizeof(line),
-        "  tm: cycle=%llu committed=%llu nextFetchIn=%llu epoch=%llu "
-        "drained=%d drainReq=%d awaitResteer=%d serialize=%d mispredDrain=%d\n",
-        static_cast<unsigned long long>(core.cycle()),
-        static_cast<unsigned long long>(core.committedInsts()),
-        static_cast<unsigned long long>(core.nextFetchIn()),
-        static_cast<unsigned long long>(core.expectedEpoch()),
-        core.drained() ? 1 : 0, core.drainRequested() ? 1 : 0,
-        core.awaitingResteer() ? 1 : 0, core.serializeInFlight() ? 1 : 0,
-        core.drainForMispredict() ? 1 : 0);
-    d += line;
-    std::snprintf(
-        line, sizeof(line),
-        "  fm: nextIn=%llu lastCommitted=%llu epoch=%llu wrongPath=%d "
-        "halted=%d undoDepth=%zu\n",
-        static_cast<unsigned long long>(fm.nextIn()),
-        static_cast<unsigned long long>(fm.lastCommitted()),
-        static_cast<unsigned long long>(fm.epoch()), fm.onWrongPath() ? 1 : 0,
-        fm.halted() ? 1 : 0, fm.undoDepth());
-    d += line;
-    std::snprintf(line, sizeof(line),
-                  "  trace buffer: size=%zu unfetched=%zu expectedNextIn=%llu "
-                  "full=%d\n",
-                  tb.size(), tb.unfetched(),
-                  static_cast<unsigned long long>(tb.expectedNextIn()),
-                  tb.full() ? 1 : 0);
-    d += line;
-    std::snprintf(line, sizeof(line),
-                  "  protocol engine: injectionPending=%d\n",
-                  engine.injectionPending() ? 1 : 0);
-    d += line;
-    d += "  connector occupancies:\n";
-    for (const tm::ConnectorBase *c : core.registry().connectors()) {
-        std::snprintf(line, sizeof(line), "    %-20s size=%zu\n",
-                      c->name().c_str(), c->size());
-        d += line;
-    }
-    if (!runner_state.empty())
-        d += runner_state;
-    return d;
-}
-
-std::string
-Guardrails::diagnoseSmp(const fm::SmpFuncModel &fm, const tm::SmpCore &smp,
-                        const std::vector<std::unique_ptr<tm::TraceBuffer>>
-                            &tbs,
-                        const ProtocolEngine &engine) const
-{
-    char line[256];
-    std::string d = "no-progress watchdog: SMP structured diagnosis\n";
-    std::snprintf(line, sizeof(line),
                   "  polls without commit: %llu (budget %llu)  cycle=%llu "
-                  "cores=%u\n",
+                  "cores=%zu\n",
                   static_cast<unsigned long long>(pollsSinceProgress_),
                   static_cast<unsigned long long>(cfg_.watchdogBudget),
-                  static_cast<unsigned long long>(smp.cycle()),
-                  smp.numCores());
+                  static_cast<unsigned long long>(cycle), cores.size());
     d += line;
-    for (unsigned c = 0; c < smp.numCores(); ++c) {
-        const fm::FuncModel &f = fm.core(c);
+    for (std::size_t c = 0; c < cores.size(); ++c) {
+        const CoreView &v = cores[c];
         std::snprintf(
             line, sizeof(line),
-            "  core %u tm: committed=%llu nextFetchIn=%llu epoch=%llu "
+            "  core %zu tm: committed=%llu nextFetchIn=%llu epoch=%llu "
             "drained=%d drainReq=%d awaitResteer=%d serialize=%d "
             "mispredDrain=%d rob=%zu\n",
-            c, static_cast<unsigned long long>(smp.committedInsts(c)),
-            static_cast<unsigned long long>(smp.sliceNextFetchIn(c)),
-            static_cast<unsigned long long>(smp.expectedEpoch(c)),
-            smp.sliceDrained(c) ? 1 : 0, smp.drainRequested(c) ? 1 : 0,
-            smp.awaitingResteer(c) ? 1 : 0, smp.serializeInFlight(c) ? 1 : 0,
-            smp.drainForMispredict(c) ? 1 : 0, smp.robInsts(c));
+            c, static_cast<unsigned long long>(v.tm.committedInsts),
+            static_cast<unsigned long long>(v.tm.nextFetchIn),
+            static_cast<unsigned long long>(v.tm.expectedEpoch),
+            v.drained ? 1 : 0, v.tm.drainRequested ? 1 : 0,
+            v.tm.awaitingResteer ? 1 : 0, v.tm.serializeInFlight ? 1 : 0,
+            v.tm.drainForMispredict ? 1 : 0, v.tm.rob.size());
         d += line;
         std::snprintf(
             line, sizeof(line),
-            "  core %u fm: nextIn=%llu lastCommitted=%llu epoch=%llu "
+            "  core %zu fm: nextIn=%llu lastCommitted=%llu epoch=%llu "
             "wrongPath=%d halted=%d undoDepth=%zu\n",
-            c, static_cast<unsigned long long>(f.nextIn()),
-            static_cast<unsigned long long>(f.lastCommitted()),
-            static_cast<unsigned long long>(f.epoch()),
-            f.onWrongPath() ? 1 : 0, f.halted() ? 1 : 0, f.undoDepth());
+            c, static_cast<unsigned long long>(v.fm.nextIn()),
+            static_cast<unsigned long long>(v.fm.lastCommitted()),
+            static_cast<unsigned long long>(v.fm.epoch()),
+            v.fm.onWrongPath() ? 1 : 0, v.fm.halted() ? 1 : 0,
+            v.fm.undoDepth());
         d += line;
         std::snprintf(line, sizeof(line),
-                      "  core %u tb: size=%zu unfetched=%zu full=%d  "
-                      "coherence tokens in flight=%zu\n",
-                      c, tbs[c]->size(), tbs[c]->unfetched(),
-                      tbs[c]->full() ? 1 : 0,
-                      smp.coherenceTokensInFlight(c));
+                      "  core %zu tb: size=%zu unfetched=%zu "
+                      "expectedNextIn=%llu full=%d  coherence tokens in "
+                      "flight=%zu\n",
+                      c, v.tb.size(), v.tb.unfetched(),
+                      static_cast<unsigned long long>(v.tb.expectedNextIn()),
+                      v.tb.full() ? 1 : 0, v.coherenceTokens);
         d += line;
     }
     std::snprintf(line, sizeof(line),
@@ -144,11 +88,13 @@ Guardrails::diagnoseSmp(const fm::SmpFuncModel &fm, const tm::SmpCore &smp,
                   engine.injectionPending() ? 1 : 0);
     d += line;
     d += "  connector occupancies:\n";
-    for (const tm::ConnectorBase *c : smp.registry().connectors()) {
+    for (const tm::ConnectorBase *c : fabric.connectors()) {
         std::snprintf(line, sizeof(line), "    %-24s size=%zu\n",
                       c->name().c_str(), c->size());
         d += line;
     }
+    if (!runner_state.empty())
+        d += runner_state;
     return d;
 }
 
@@ -160,52 +106,8 @@ Guardrails::crossCheckDue(std::uint64_t committed_insts) const
 }
 
 void
-Guardrails::crossCheck(const fm::FuncModel &fm, const tm::Core &core)
-{
-    // Lockstep invariants: both sides agree on the speculation epoch and
-    // the committed/fetch boundary ordering.
-    if (fm.epoch() != core.expectedEpoch())
-        fatal("cross-check: FM epoch %llu != TM expected epoch %llu "
-              "(committed=%llu nextFetchIn=%llu fmNextIn=%llu)",
-              static_cast<unsigned long long>(fm.epoch()),
-              static_cast<unsigned long long>(core.expectedEpoch()),
-              static_cast<unsigned long long>(core.committedInsts()),
-              static_cast<unsigned long long>(core.nextFetchIn()),
-              static_cast<unsigned long long>(fm.nextIn()));
-    if (!(fm.lastCommitted() < core.nextFetchIn() &&
-          core.nextFetchIn() <= fm.nextIn() + 1))
-        fatal("cross-check: boundary ordering violated "
-              "(fmLastCommitted=%llu < tmNextFetchIn=%llu <= fmNextIn+1=%llu)",
-              static_cast<unsigned long long>(fm.lastCommitted()),
-              static_cast<unsigned long long>(core.nextFetchIn()),
-              static_cast<unsigned long long>(fm.nextIn() + 1));
-
-    // Fold the committed architectural state (undo-walk reconstruction)
-    // and the dirty speculative-memory checksum into the chain; two runs
-    // that diverge architecturally produce different chains even if the
-    // invariants above still hold.
-    auto mix = [this](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            crossHash_ ^= (v >> (8 * i)) & 0xFF;
-            crossHash_ *= 1099511628211ull;
-        }
-    };
-    const fm::ArchState st = fm.committedArchState();
-    for (std::uint32_t v : st.gpr)
-        mix(v);
-    mix(st.flags);
-    mix(st.pc);
-    for (std::uint32_t v : st.ctrl)
-        mix(v);
-    mix(fm.speculativeMemChecksum());
-    mix(core.committedInsts());
-
-    nextCrossCheckAt_ = core.committedInsts() + cfg_.crossCheckEveryCommits;
-    ++stCrossChecks_;
-}
-
-void
-Guardrails::crossCheckSmp(const fm::SmpFuncModel &fm, const tm::SmpCore &smp)
+Guardrails::crossCheck(const std::vector<CoreView> &cores,
+                       std::uint64_t committed_total)
 {
     auto mix = [this](std::uint64_t v) {
         for (unsigned i = 0; i < 8; ++i) {
@@ -213,25 +115,32 @@ Guardrails::crossCheckSmp(const fm::SmpFuncModel &fm, const tm::SmpCore &smp)
             crossHash_ *= 1099511628211ull;
         }
     };
-    for (unsigned c = 0; c < smp.numCores(); ++c) {
-        const fm::FuncModel &f = fm.core(c);
-        if (f.epoch() != smp.expectedEpoch(c))
-            fatal("cross-check: core %u FM epoch %llu != TM expected epoch "
+    for (std::size_t c = 0; c < cores.size(); ++c) {
+        const fm::FuncModel &f = cores[c].fm;
+        const tm::modules::CoreState &t = cores[c].tm;
+        // Lockstep invariants: both sides agree on the speculation epoch
+        // and the committed/fetch boundary ordering.
+        if (f.epoch() != t.expectedEpoch)
+            fatal("cross-check: core %zu FM epoch %llu != TM expected epoch "
                   "%llu (committed=%llu nextFetchIn=%llu fmNextIn=%llu)",
                   c, static_cast<unsigned long long>(f.epoch()),
-                  static_cast<unsigned long long>(smp.expectedEpoch(c)),
-                  static_cast<unsigned long long>(smp.committedInsts(c)),
-                  static_cast<unsigned long long>(smp.sliceNextFetchIn(c)),
+                  static_cast<unsigned long long>(t.expectedEpoch),
+                  static_cast<unsigned long long>(t.committedInsts),
+                  static_cast<unsigned long long>(t.nextFetchIn),
                   static_cast<unsigned long long>(f.nextIn()));
-        if (!(f.lastCommitted() < smp.sliceNextFetchIn(c) &&
-              smp.sliceNextFetchIn(c) <= f.nextIn() + 1))
-            fatal("cross-check: core %u boundary ordering violated "
+        if (!(f.lastCommitted() < t.nextFetchIn &&
+              t.nextFetchIn <= f.nextIn() + 1))
+            fatal("cross-check: core %zu boundary ordering violated "
                   "(fmLastCommitted=%llu < tmNextFetchIn=%llu <= "
                   "fmNextIn+1=%llu)",
                   c, static_cast<unsigned long long>(f.lastCommitted()),
-                  static_cast<unsigned long long>(smp.sliceNextFetchIn(c)),
+                  static_cast<unsigned long long>(t.nextFetchIn),
                   static_cast<unsigned long long>(f.nextIn() + 1));
 
+        // Fold the committed architectural state (undo-walk
+        // reconstruction) and the dirty speculative-memory checksum into
+        // the chain; two runs that diverge architecturally produce
+        // different chains even if the invariants above still hold.
         const fm::ArchState st = f.committedArchState();
         for (std::uint32_t v : st.gpr)
             mix(v);
@@ -240,10 +149,9 @@ Guardrails::crossCheckSmp(const fm::SmpFuncModel &fm, const tm::SmpCore &smp)
         for (std::uint32_t v : st.ctrl)
             mix(v);
         mix(f.speculativeMemChecksum());
-        mix(smp.committedInsts(c));
+        mix(t.committedInsts);
     }
-    nextCrossCheckAt_ =
-        smp.committedInstsTotal() + cfg_.crossCheckEveryCommits;
+    nextCrossCheckAt_ = committed_total + cfg_.crossCheckEveryCommits;
     ++stCrossChecks_;
 }
 

@@ -6,19 +6,18 @@
  * chain used by fault-injection campaigns and kill-and-resume tests to
  * prove bit-identical recovery.
  *
- * Both runners own one Guardrails instance and drive it the same way:
+ * Every runner owns one Guardrails instance and drives it the same way:
  * notePoll() once per tick/loop iteration (the watchdog counts polls, not
  * cycles, so it also fires when the parallel runner's tick gate wedges),
  * crossCheck() after protocol events are applied (the only point where
  * the FM/TM epoch and boundary invariants are stable), and onCommitEntry()
- * from the core's commit hook when hashing is enabled.
+ * for every committed instruction, in core order, when hashing is enabled.
  */
 
 #ifndef FASTSIM_FAST_GUARDRAILS_HH
 #define FASTSIM_FAST_GUARDRAILS_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,15 +30,23 @@
 #include "tm/trace_buffer.hh"
 
 namespace fastsim {
-namespace fm {
-class SmpFuncModel;
-}
-namespace tm {
-class SmpCore;
-}
 namespace fast {
 
 class ProtocolEngine;
+
+/**
+ * What the guardrails read of one core: its functional model and trace
+ * ring plus the timing slice's protocol state (tm::Core::sliceState /
+ * tm::SmpCore::sliceState).  The coupled loop builds one per core.
+ */
+struct CoreView
+{
+    const fm::FuncModel &fm;
+    const tm::TraceBuffer &tb;
+    const tm::modules::CoreState &tm;
+    bool drained = false;
+    std::size_t coherenceTokens = 0; //!< in-flight coherence tokens (SMP)
+};
 
 /** Guardrail configuration (defaults keep every guardrail cheap or off). */
 struct GuardrailConfig
@@ -121,28 +128,19 @@ class Guardrails
 
     // --- structured diagnosis ----------------------------------------------
     /**
-     * Build the structured no-progress diagnosis: committed/fetch
-     * positions, FM speculation state, trace-buffer occupancy, per-
-     * connector occupancies, and the protocol engine's in-flight state.
-     * `runner_state` is appended verbatim when non-empty — the parallel
-     * runner uses it for park/wake counters and epoch-window state.
+     * Build the structured no-progress diagnosis: one block per core with
+     * its committed/fetch positions, protocol flags (drain/resteer/
+     * serialize), FM speculation state, trace-ring occupancy and in-flight
+     * coherence tokens, then the protocol engine's in-flight state and
+     * every Connector occupancy of `fabric` — so a wedged run names the
+     * core (and the edge) that stopped moving.  `runner_state` is
+     * appended verbatim when non-empty — the parallel runner uses it for
+     * park/wake counters and epoch-window state.
      */
-    std::string diagnose(const fm::FuncModel &fm, const tm::Core &core,
-                         const tm::TraceBuffer &tb,
+    std::string diagnose(Cycle cycle, const std::vector<CoreView> &cores,
                          const ProtocolEngine &engine,
+                         const tm::ModuleRegistry &fabric,
                          const std::string &runner_state = {}) const;
-
-    /**
-     * The SMP runner's structured diagnosis: one block per core with that
-     * core's protocol flags (drain/resteer/serialize), FM speculation
-     * state, trace-ring occupancy and in-flight coherence tokens, then
-     * the shared fabric's Connector occupancies — so a wedged N-core run
-     * names the core (and the coherence edge) that stopped moving.
-     */
-    std::string
-    diagnoseSmp(const fm::SmpFuncModel &fm, const tm::SmpCore &smp,
-                const std::vector<std::unique_ptr<tm::TraceBuffer>> &tbs,
-                const ProtocolEngine &engine) const;
 
     const std::string &
     lastDiagnosis() const FASTSIM_REQUIRES(ownerRole)
@@ -161,22 +159,18 @@ class Guardrails
         FASTSIM_REQUIRES(ownerRole);
 
     /**
-     * Verify the FM/TM lockstep invariants at a commit boundary (epoch
-     * equality, IN ordering) and fold the FM's committed architectural
-     * state and speculative-memory checksum into the cross-check hash.
-     * fatal()s with a structured message on violation.
+     * Verify every core's FM/TM lockstep invariants at a commit boundary
+     * (epoch equality, IN ordering) and fold each core's committed
+     * architectural state and speculative-memory checksum into the
+     * cross-check hash, in core order.  fatal()s with a structured
+     * message on violation.
      *
      * Call only after the runner applied all pending protocol events —
      * between TM event emission and FM appliance the epochs legitimately
      * disagree.
      */
-    void crossCheck(const fm::FuncModel &fm, const tm::Core &core)
-        FASTSIM_REQUIRES(ownerRole);
-
-    /** Per-core FM/TM lockstep invariants + architectural fold for the
-     *  SMP runner (same contract as crossCheck, core by core in order). */
-    void crossCheckSmp(const fm::SmpFuncModel &fm, const tm::SmpCore &smp)
-        FASTSIM_REQUIRES(ownerRole);
+    void crossCheck(const std::vector<CoreView> &cores,
+                    std::uint64_t committed_total) FASTSIM_REQUIRES(ownerRole);
 
     std::uint64_t crossCheckHash() const { return crossHash_; }
 

@@ -79,9 +79,10 @@
  * to provoke the tick gate.  The TM loop drives the progress watchdog;
  * when it fires the runner stops both threads and either fatal()s with
  * the structured diagnosis or — with cfg.guardrails.degradeOnWatchdog —
- * drains the event ring and falls back to a coupled-mode loop on the
- * caller's thread, preserving all functional results ("warn and
- * continue" is not offered: a wedged rendezvous never unwedges itself).
+ * drains the event ring and continues on the coupled loop itself, on
+ * the caller's thread, preserving all functional results ("warn and
+ * continue" is not offered: a wedged rendezvous never unwedges itself,
+ * and a second fire in the coupled loop is fatal).
  */
 
 #ifndef FASTSIM_FAST_PARALLEL_HH
@@ -100,28 +101,28 @@ namespace fastsim {
 namespace fast {
 
 /**
- * Two-thread FAST simulator.
+ * Two-thread FAST simulator.  Its single-core parts — functional model,
+ * trace buffer, timing core, protocol engine, fault stack, guardrails —
+ * are the coupled loop's (simulator.hh), built by the same code; after a
+ * watchdog degradation the run continues on that loop.
  */
-class ParallelFastSimulator
+class ParallelFastSimulator : private CoupledLoop<tm::Core>
 {
   public:
     explicit ParallelFastSimulator(const FastConfig &cfg);
     ~ParallelFastSimulator();
 
-    void boot(const kernel::BootImage &image);
+    using CoupledLoop::boot;
+    using CoupledLoop::commitHash;
+    using CoupledLoop::core;
+    using CoupledLoop::faultPlan;
+    using CoupledLoop::fm;
+    using CoupledLoop::guardrails;
+    using CoupledLoop::stats;
+    using CoupledLoop::traceBuffer;
 
     /** Run with both threads until the guest finishes or the bound. */
     RunResult run(Cycle max_cycles);
-
-    fm::FuncModel &fm() { return *fm_; }
-    tm::Core &core() { return *core_; }
-    tm::TraceBuffer &traceBuffer() { return tb_; }
-    stats::Group &stats() { return stats_; }
-
-    Guardrails &guardrails() { return guardrails_; }
-    const Guardrails &guardrails() const { return guardrails_; }
-    inject::FaultPlan *faultPlan() { return plan_.get(); }
-    std::uint64_t commitHash() const { return guardrails_.commitHash(); }
 
     /** True when a watchdog fire demoted this run to the coupled loop. */
     bool degraded() const { return degraded_; }
@@ -129,8 +130,7 @@ class ParallelFastSimulator
   private:
     void fmThreadMain();
     void tmThreadMain(Cycle max_cycles);
-    void degradedRun(Cycle max_cycles);
-    bool degradedFinished() const;
+    void tmTick();
 
     void applyMessage(const tm::TmEvent &e);
     void publishSnapshots();
@@ -149,25 +149,16 @@ class ParallelFastSimulator
     template <typename Pred> void tmSpinThenPark(Pred &&ready);
     std::string runnerStateDiagnosis() const;
 
-    FastConfig cfg_;
-    std::unique_ptr<fm::FuncModel> fm_;
-    tm::TraceBuffer tb_;
-    std::unique_ptr<tm::Core> core_;
-    std::unique_ptr<ProtocolEngine> engine_; //!< TM-thread device timing
-    stats::Group stats_;
-
-    // Fault-injection stack.  All fault streams fire on the FM thread
-    // (link/cmd/devices/stall); guardrails_ is driven by the TM loop and,
-    // after a degradation, by the single remaining thread.
-    std::unique_ptr<inject::FaultPlan> plan_; //!< null when no faults enabled
-    std::unique_ptr<inject::TraceLink> link_;
-    std::unique_ptr<CmdChannel> cmd_;
-    Guardrails guardrails_;
-    AdaptiveTraceSizer sizer_; //!< FM-thread driven (epoch boundaries)
-    //!< TM-thread-owned commit-anchored device view
-    //!< (cfg.deterministicDevices): fed by core_->onCommit inside
-    //!< core_->tick(), read by deviceTiming() — both on the TM thread.
-    CommittedDeviceMirror mirror_;
+    // The coupled loop's core-0 face, by name.  All fault streams fire on
+    // the FM thread (link/cmd/devices/stall); guardrails_ is driven by the
+    // TM loop and, after a degradation, by the single remaining thread.
+    // mirror_ (cfg.deterministicDevices) is TM-thread-owned: fed by the
+    // core's commit hook inside core_->tick(), read by deviceTiming() —
+    // both on the TM thread.
+    tm::TraceBuffer &tb_;
+    inject::TraceLink &link_;
+    CmdChannel &cmd_;
+    AdaptiveTraceSizer &sizer_; //!< FM-thread driven (epoch boundaries)
     std::uint64_t fmStallRemaining_ = 0; //!< FM-thread-local (FmStall)
     bool degraded_ = false;              //!< set after both threads stopped
 

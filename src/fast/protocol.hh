@@ -2,8 +2,8 @@
  * @file
  * The FM<->TM protocol engine, shared by both runners.
  *
- * The coupled runner (simulator.cc) and the parallel runner (parallel.cc)
- * speak the same protocol — TmEvent relay toward the functional model,
+ * The coupled loop (simulator.cc, every core count) and the parallel
+ * runner (parallel.cc) speak the same protocol — TmEvent relay toward the functional model,
  * set_pc/rollback resteer sequencing, commit release, exception refetch,
  * and the timer/disk device-timing state machines of paper §3.4.  This
  * class holds the single implementation of that protocol:

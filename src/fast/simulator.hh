@@ -1,15 +1,19 @@
 /**
  * @file
  * The top-level FAST simulator: the speculative functional model and the
- * timing model coupled through the trace buffer and the mis-speculation /
- * commit / interrupt protocol of paper §2.1 and §3.4.
+ * timing model coupled through per-core trace buffers and the
+ * mis-speculation / commit / interrupt protocol of paper §2.1 and §3.4.
  *
- * Two execution modes exist:
- *  - FastSimulator (this file): deterministic single-threaded interleaving,
- *    the reference implementation of the protocol;
- *  - ParallelFastSimulator (parallel.hh): functional model and timing model
- *    on separate host threads, demonstrating the latency-tolerant
- *    parallelization that is the paper's core contribution (§3).
+ * One coupled loop (CoupledLoop below) implements that protocol for any
+ * core count; the runners are faces of it:
+ *  - FastSimulator (this file): one core, deterministic single-threaded
+ *    interleaving, the reference implementation of the protocol;
+ *  - SmpSimulator (smp.hh): the same loop over N >= 2 cores;
+ *  - ParallelFastSimulator (parallel.hh): one core with the functional
+ *    and timing models on separate host threads, demonstrating the
+ *    latency-tolerant parallelization that is the paper's core
+ *    contribution (§3); it falls back to the coupled loop when its
+ *    watchdog degrades the run.
  */
 
 #ifndef FASTSIM_FAST_SIMULATOR_HH
@@ -19,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/statistics.hh"
@@ -33,6 +38,12 @@
 #include "tm/trace_buffer.hh"
 
 namespace fastsim {
+namespace fm {
+class SmpFuncModel;
+}
+namespace tm {
+class SmpCore;
+}
 namespace fast {
 
 /** Full-simulator configuration. */
@@ -111,12 +122,12 @@ struct FastConfig
     bool deterministicDevices = false;
 
     /**
-     * Crash-consistent checkpointing (coupled runner): snapshot to
-     * `checkpointPath` every `checkpointEvery` target cycles (0 = off).
-     * Snapshots are taken at drained commit boundaries, so enabling them
-     * perturbs cycle counts (the drains are real pipeline events);
-     * kill-and-resume equivalence holds between runs with the *same*
-     * checkpoint cadence.
+     * Crash-consistent checkpointing (coupled loop, any core count):
+     * snapshot to `checkpointPath` every `checkpointEvery` target cycles
+     * (0 = off).  Snapshots are taken at drained commit boundaries, so
+     * enabling them perturbs cycle counts (the drains are real pipeline
+     * events); kill-and-resume equivalence holds between runs with the
+     * *same* checkpoint cadence.
      */
     Cycle checkpointEvery = 0;
     std::string checkpointPath = "fastsim.ckpt";
@@ -124,7 +135,7 @@ struct FastConfig
 
 /**
  * The configuration fingerprint embedded in snapshot headers, shared by
- * every runner (fast/snapshot.cc): resuming under a configuration with a
+ * every runner (fast/simulator.cc): resuming under a configuration with a
  * different fingerprint is rejected.  Covers every knob that shapes
  * target-visible state — including numCores — but not tmThreads (the BSP
  * schedule is thread-count-invariant).
@@ -141,14 +152,42 @@ struct RunResult
 };
 
 /**
- * The coupled (single-threaded, deterministic) FAST simulator.
+ * The coupled FM<->TM loop, written once over N per-core *faces* and
+ * shared by every runner (DESIGN.md §16.7).  A face is one core's
+ * functional model, trace buffer, drain port, trace link, command
+ * channel, adaptive ring sizer and wrong-path-stall flag.  Each target
+ * cycle the loop produces trace entries (round-robin over the faces),
+ * ticks the timing model, folds the commits core-major, applies every
+ * face's protocol events, runs the shared device timing against core 0
+ * and polls the guardrails.
+ *
+ * Tm is tm::Core (one core) or tm::SmpCore (N >= 2 cores sharing memory
+ * and an L2); both expose the same per-core accessor set, so the loop
+ * needs no virtual call per FM step or TM tick.  The core count selects
+ * the one protocol difference: a single core executes down wrong paths,
+ * N cores suppress them (DESIGN.md §16.4).
+ *
+ * Not a runner on its own: FastSimulator (N = 1) and SmpSimulator
+ * (smp.hh, N >= 2) are its public faces, and ParallelFastSimulator
+ * (parallel.hh) builds its single-core parts through it and continues on
+ * it when its watchdog degrades the run.
  */
-class FastSimulator
+template <typename Tm>
+class CoupledLoop
 {
   public:
-    explicit FastSimulator(const FastConfig &cfg);
+    /** The functional model matching Tm: one FuncModel, or N of them
+     *  sharing one machine. */
+    using Fm = std::conditional_t<std::is_same_v<Tm, tm::Core>,
+                                  fm::FuncModel, fm::SmpFuncModel>;
 
-    /** Load a built software stack. */
+    /**
+     * Load a built software stack.  The image lands once in (shared)
+     * physical memory and core 0 resets to its entry; with N >= 2 cores,
+     * cores 1..N-1 reset to the image's "smp_secondary_entry" symbol
+     * (kernel::BuildOptions::smpCores emits it: per-core stack setup +
+     * spin on the kernel's release flag).
+     */
     void boot(const kernel::BootImage &image);
 
     /** Advance one target cycle. */
@@ -157,13 +196,16 @@ class FastSimulator
     /** Run until the guest's final halt or the cycle bound. */
     RunResult run(Cycle max_cycles);
 
-    /** True when the guest halted with interrupts off and all state
+    /** True when every core halted with interrupts off and all state
      *  committed (the mini-OS exit convention). */
     bool finished() const;
 
-    fm::FuncModel &fm() { return *fm_; }
-    tm::Core &core() { return *core_; }
-    tm::TraceBuffer &traceBuffer() { return tb_; }
+    unsigned numCores() const { return static_cast<unsigned>(faces_.size()); }
+    Cycle cycle() const { return core_->cycle(); }
+    Fm &fm() { return *fm_; }
+    fm::FuncModel &fmCore(unsigned i) { return *faces_.at(i).fm; }
+    Tm &core() { return *core_; }
+    tm::TraceBuffer &traceBuffer(unsigned i = 0) { return *faces_.at(i).tb; }
     stats::Group &stats() { return stats_; }
     const FastConfig &config() const { return cfg_; }
 
@@ -171,10 +213,23 @@ class FastSimulator
     const Guardrails &guardrails() const { return guardrails_; }
     inject::FaultPlan *faultPlan() { return plan_.get(); }
 
-    /** Committed-instruction hash chain (cfg.guardrails.hashCommits). */
+    /** Committed-instruction hash chain (cfg.guardrails.hashCommits):
+     *  every core's commits, folded in the core-major order of
+     *  drainCommits(). */
     std::uint64_t commitHash() const { return guardrails_.commitHash(); }
 
-    // --- checkpoint / resume -----------------------------------------------
+    /** The structured no-progress diagnosis (what the watchdog prints):
+     *  per-core protocol flags, FM state, trace-ring and coherence-token
+     *  depth, plus every Connector occupancy; `runner_state` is appended. */
+    std::string diagnose(const std::string &runner_state = {}) const;
+
+    // --- checkpoint / resume (snapshot format v5) --------------------------
+    /** True at a clean snapshot boundary: every core drained, no device
+     *  injection pending, every FM at its committed boundary.  In-flight
+     *  coherence tokens (a pending ifetch miss) are legal and serialized
+     *  with the fabric. */
+    bool checkpointReady() const;
+
     /**
      * Quiesce to a drained commit boundary (rolling back FM run-ahead)
      * and write a crash-consistent snapshot: process-unique temp file +
@@ -204,49 +259,101 @@ class FastSimulator
 
     /** Restore a snapshot written by saveSnapshot().  Call after boot()
      *  (boot re-creates the un-serialized environment: console input
-     *  script, loaded image; the snapshot then overwrites machine state). */
+     *  script, loaded image; the snapshot then overwrites machine state).
+     *  Rejects snapshots taken under a different configuration —
+     *  including a different numCores (the fingerprint covers it). */
     void resumeFrom(const std::string &path);
 
     /** resumeFrom(), but from an in-memory image. */
     void resumeFromImage(const std::vector<std::uint8_t> &bytes);
 
-    /** True at a clean snapshot boundary (drained, no injection pending,
-     *  every fetched instruction committed). */
-    bool checkpointReady() const;
+  protected:
+    CoupledLoop(const FastConfig &cfg, const char *stats_name);
+    ~CoupledLoop();
 
-    /** Observation hook: every TM protocol event, in emission order. */
-    std::function<void(const tm::TmEvent &)> onEvent;
+    /** One core's FM<->TM plumbing. */
+    struct Face
+    {
+        fm::FuncModel *fm = nullptr; //!< owned by fm_
+        std::unique_ptr<tm::TraceBuffer> tb;
+        tm::CoreDrainPort *port = nullptr; //!< the core's slice of core_
+        std::unique_ptr<inject::TraceLink> link;
+        std::unique_ptr<CmdChannel> cmd;
+        std::unique_ptr<AdaptiveTraceSizer> sizer;
+        bool stalledWrongPath = false;
+        //!< N >= 2: filled by the core's commit hook, emptied by
+        //!< drainCommits()
+        std::vector<fm::TraceEntry> commits;
+    };
 
-  private:
     void produceEntries();
+    /** One FM step on `f` into its ring; false when the core must sit
+     *  out the rest of the cycle. */
+    bool stepFm(Face &f);
+    /** Fold one core's committed instruction into the hash chain, the
+     *  device mirror (core 0) and the onCommitEntry observer. */
+    void observeCommit(unsigned core, const fm::TraceEntry &e)
+        FASTSIM_REQUIRES(guardrails_.ownerRole);
+    void drainCommits();
     void handleEvents();
     void deviceTiming();
     void runGuardrails();
+    void crossCheck() FASTSIM_REQUIRES(guardrails_.ownerRole);
     void quiesceToBoundary();
-    std::uint64_t configFingerprint() const;
+
+    /** The face's FM, with the shared devices attached to it (N >= 2:
+     *  undo logging and raised IRQs land on the executing core). */
+    fm::FuncModel &activate(Face &f);
+
+    /** The device state the protocol engine times against: the
+     *  commit-anchored mirror under cfg.deterministicDevices, otherwise
+     *  `interpreted` — what the FM's run-ahead has executed so far. */
+    DeviceView timingView(const DeviceView &interpreted) const;
+
+    std::vector<CoreView> coreViews() const;
+
+    /** Observation hook: every TM protocol event, in emission order
+     *  (FastSimulator exposes it). */
+    std::function<void(const tm::TmEvent &)> onEvent;
+
+    /** Observation hook: every committed instruction, tagged with the
+     *  committing core (SmpSimulator exposes it). */
+    std::function<void(unsigned core, const fm::TraceEntry &)> onCommitEntry;
 
     FastConfig cfg_;
-    std::unique_ptr<fm::FuncModel> fm_;
-    tm::TraceBuffer tb_;
-    std::unique_ptr<tm::Core> core_;
-    std::unique_ptr<ProtocolEngine> engine_;
     stats::Group stats_;
-
-    std::unique_ptr<inject::FaultPlan> plan_; //!< null when no faults enabled
-    std::unique_ptr<inject::TraceLink> link_;
-    std::unique_ptr<CmdChannel> cmd_;
     Guardrails guardrails_;
-    AdaptiveTraceSizer sizer_;
-    CommittedDeviceMirror mirror_; //!< cfg.deterministicDevices
+    std::unique_ptr<inject::FaultPlan> plan_; //!< null when no faults enabled
+    std::unique_ptr<Fm> fm_;
+    std::vector<Face> faces_;
+    std::unique_ptr<Tm> core_;
+    //!< device timing: the platform devices interrupt core 0 only
+    std::unique_ptr<ProtocolEngine> engine_;
+    CommittedDeviceMirror mirror_; //!< cfg.deterministicDevices (core 0)
 
-    //!< injection boundary: the FM committed everything below `in`
+    //!< injection boundary: core 0's FM committed everything below `in`
     std::function<bool(InstNum)> boundaryOk_;
-
-    bool fmStalledWrongPath_ = false;
 
     // Checkpoint sequencing (run()).
     bool checkpointDrainPending_ = false;
     Cycle nextCheckpointAt_ = 0;
+};
+
+extern template class CoupledLoop<tm::Core>;
+
+/**
+ * The coupled (single-threaded, deterministic) single-core FAST
+ * simulator: the reference implementation of the protocol.
+ */
+class FastSimulator : public CoupledLoop<tm::Core>
+{
+  public:
+    explicit FastSimulator(const FastConfig &cfg)
+        : CoupledLoop(cfg, "fast")
+    {
+    }
+
+    using CoupledLoop::onEvent;
 };
 
 } // namespace fast

@@ -2,19 +2,19 @@
  * @file
  * The N-core coupled FAST simulator (DESIGN.md §16).
  *
- * fast::SmpSimulator is the multi-core sibling of FastSimulator: one
- * fm::SmpFuncModel (N speculative functional models sharing a machine),
- * one tm::SmpCore (N pipeline/L1 slices joined to a shared L2), and one
- * TraceBuffer + CmdChannel + TraceLink per core.  The FM<->TM protocol is
- * unchanged per core — each slice exposes the same CoreDrainPort face the
- * single-core engine drives — so the SMP runner is the single-core
- * coupled loop iterated over cores in a fixed order:
+ * fast::SmpSimulator runs the coupled loop of simulator.hh over N >= 2
+ * cores: one fm::SmpFuncModel (N speculative functional models sharing a
+ * machine), one tm::SmpCore (N pipeline/L1 slices joined to a shared L2),
+ * and one face — TraceBuffer + CmdChannel + TraceLink + sizer — per core.
+ * The FM<->TM protocol is unchanged per core (each slice exposes the same
+ * CoreDrainPort face the single-core engine drives), and the loop's fixed
+ * orders carry the multi-core determinism:
  *
  *  - produceEntries() steps the functional models in a deterministic
  *    round-robin at instruction granularity (core 0 first, each core at
  *    most fmStepsPerCycle steps per target cycle);
- *  - handleEvents() drains and applies each slice's protocol events in
- *    core order;
+ *  - drainCommits() and handleEvents() fold commits and apply protocol
+ *    events in core order;
  *  - deviceTiming() runs the shared timer/disk state machines through
  *    ONE ProtocolEngine bound to core 0's drain port: the platform
  *    devices interrupt core 0 only (the other cores' LAPIC-style pics
@@ -32,7 +32,8 @@
  * rolls the FM back to the mispredict point *on its natural PC* — it
  * never leaves the architectural path — and the timing model still pays
  * the full resteer penalty as fetch bubbles.  The cost of the fiction is
- * that SMP timing omits wrong-path cache pollution.
+ * that SMP timing omits wrong-path cache pollution.  The loop selects this
+ * rule by core count: one core keeps wrong-path execution.
  *
  * Every arbitration above is a fixed function of core index and target
  * state, and every TM-side cross-core interaction rides the coherence
@@ -43,141 +44,32 @@
 #ifndef FASTSIM_FAST_SMP_HH
 #define FASTSIM_FAST_SMP_HH
 
-#include <cstdio>
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "base/statistics.hh"
-#include "fast/guardrails.hh"
-#include "fast/protocol.hh"
 #include "fast/simulator.hh"
 #include "fm/smp.hh"
-#include "inject/trace_link.hh"
-#include "kernel/boot.hh"
 #include "tm/smp_core.hh"
-#include "tm/trace_buffer.hh"
 
 namespace fastsim {
 namespace fast {
 
+extern template class CoupledLoop<tm::SmpCore>;
+
 /**
- * The coupled N-core simulator.  Constructed from the same FastConfig as
- * the single-core runners; cfg.numCores >= 2 (use FastSimulator for 1).
+ * The coupled N-core simulator: the shared coupled loop over N >= 2
+ * faces.  Constructed from the same FastConfig as the single-core
+ * runners; cfg.numCores >= 2 (use FastSimulator for 1).
  */
-class SmpSimulator
+class SmpSimulator : public CoupledLoop<tm::SmpCore>
 {
   public:
-    explicit SmpSimulator(const FastConfig &cfg);
-    ~SmpSimulator();
-
-    /**
-     * Load a built software stack.  The image's segments land once in the
-     * shared physical memory; core 0 resets to the image entry (and boots
-     * the OS), cores 1..N-1 reset to the image's "smp_secondary_entry"
-     * symbol (kernel::BuildOptions::smpCores emits it: per-core stack
-     * setup + spin on the kernel's release flag).
-     */
-    void boot(const kernel::BootImage &image);
-
-    /** Advance one target cycle. */
-    void tickOnce();
-
-    /** Run until every core halted or the cycle bound. */
-    RunResult run(Cycle max_cycles);
-
-    /** True when every core halted with interrupts off and all state
-     *  committed. */
-    bool finished() const;
-
-    unsigned numCores() const { return fm_->numCores(); }
-    Cycle cycle() const { return core_->cycle(); }
-    fm::SmpFuncModel &fm() { return *fm_; }
-    fm::FuncModel &fmCore(unsigned i) { return fm_->core(i); }
-    tm::SmpCore &core() { return *core_; }
-    tm::TraceBuffer &traceBuffer(unsigned i) { return *tbs_.at(i); }
-    stats::Group &stats() { return stats_; }
-    const FastConfig &config() const { return cfg_; }
-
-    Guardrails &guardrails() { return guardrails_; }
-    const Guardrails &guardrails() const { return guardrails_; }
-
-    /** The per-core no-progress diagnosis (what the watchdog prints):
-     *  protocol flags, FM state, trace-ring and coherence-token depth per
-     *  core, plus every Connector occupancy. */
-    std::string diagnose() const
+    explicit SmpSimulator(const FastConfig &cfg)
+        : CoupledLoop(cfg, "fast_smp")
     {
-        return guardrails_.diagnoseSmp(*fm_, *core_, tbs_, *engine_);
     }
 
-    /** Combined committed-instruction hash chain: every core's commits,
-     *  folded in the (deterministic) core-major commit order of
-     *  tm::SmpCore::tick (cfg.guardrails.hashCommits). */
-    std::uint64_t commitHash() const { return guardrails_.commitHash(); }
-
     /** Observation hook: every committed instruction, tagged with the
-     *  committing core (service workload latency probes ride on this). */
-    std::function<void(unsigned core, const fm::TraceEntry &)> onCommitEntry;
-
-    /** Observation hook: every TM protocol event (tagged by core). */
-    std::function<void(unsigned core, const tm::TmEvent &)> onEvent;
-
-    // --- checkpoint / resume (snapshot format v5) -------------------------
-    /** True at a clean snapshot boundary: every slice drained, no device
-     *  injection pending, every core's FM at its committed boundary.
-     *  In-flight coherence tokens (a pending ifetch miss) are legal and
-     *  serialized with the fabric. */
-    bool checkpointReady() const;
-
-    void saveSnapshot(const std::string &path);
-    std::vector<std::uint8_t> snapshotImage();
-    void saveSnapshotToStream(std::FILE *f);
-
-    /** Drive to the next quiesced boundary (at most max_extra_cycles) and
-     *  snapshot; false if no boundary was reached (nothing written). */
-    bool checkpointNow(const std::string &path,
-                       Cycle max_extra_cycles = 200000);
-
-    /** Restore a snapshot written by saveSnapshot().  Call after boot().
-     *  Rejects snapshots taken under a different configuration —
-     *  including a different numCores (the fingerprint covers it). */
-    void resumeFrom(const std::string &path);
-    void resumeFromImage(const std::vector<std::uint8_t> &bytes);
-
-  private:
-    void produceEntries();
-    void drainCommits();
-    void handleEvents();
-    void deviceTiming();
-    void runGuardrails();
-    void quiesceToBoundary();
-    std::uint64_t configFingerprint() const;
-
-    FastConfig cfg_;
-    std::unique_ptr<fm::SmpFuncModel> fm_;
-    std::vector<std::unique_ptr<tm::TraceBuffer>> tbs_;
-    std::unique_ptr<tm::SmpCore> core_;
-    std::unique_ptr<ProtocolEngine> engine_; //!< device timing, core 0
-    stats::Group stats_;
-
-    std::vector<std::unique_ptr<inject::TraceLink>> links_;
-    std::vector<std::unique_ptr<CmdChannel>> cmds_;
-    std::vector<std::unique_ptr<AdaptiveTraceSizer>> sizers_;
-    Guardrails guardrails_;
-    CommittedDeviceMirror mirror_; //!< cfg.deterministicDevices (core 0)
-
-    std::function<bool(InstNum)> boundaryOk_; //!< core 0's commit boundary
-
-    std::vector<std::uint8_t> fmStalledWrongPath_; //!< per core
-
-    /** Per-core commit buffers: filled by the slices' commit hooks (on
-     *  BSP worker threads), folded core-major by drainCommits() on the
-     *  driver thread so observers see a tmThreads-invariant order. */
-    std::vector<std::vector<fm::TraceEntry>> pendingCommits_;
-
-    bool checkpointDrainPending_ = false;
-    Cycle nextCheckpointAt_ = 0;
+     *  committing core, in the core-major fold order of the commit hash
+     *  (service workload latency probes ride on this). */
+    using CoupledLoop::onCommitEntry;
 };
 
 } // namespace fast

@@ -1,6 +1,6 @@
 /**
  * @file
- * Atomic snapshot file I/O, shared by the coupled runner's periodic
+ * Atomic snapshot file I/O, shared by the coupled loop's periodic
  * checkpoints and the fastd worker loop (DESIGN.md §10.4, §15).
  *
  * The durability contract:
@@ -35,9 +35,9 @@ namespace snapshot_io {
 /** "FSNP" as a little-endian u32 (shared by every runner's snapshots). */
 constexpr std::uint32_t SnapshotMagic = 0x504e5346u;
 
-/** Current on-disk format version; fast/snapshot.cc documents the
- *  version history (v5: multi-core payloads and numCores in the config
- *  fingerprint). */
+/** Current on-disk format version; fast/simulator.cc documents the
+ *  format and its version history (v5: multi-core payloads and numCores
+ *  in the config fingerprint). */
 constexpr std::uint32_t SnapshotVersion = 5;
 
 /** Write `bytes` to an open stream; FatalError on short write/flush

@@ -14,11 +14,11 @@
  * undo log and roll back with it.
  *
  * Cores are stepped in a deterministic round-robin at instruction
- * granularity by the runner (fast/smp.cc).  Cross-core speculation
- * hazards through shared state are bounded by the per-core run-ahead
- * window and by software convention (the service workload communicates
- * through single-writer mailboxes; only core 0 writes the console) — see
- * DESIGN.md §16 for the honest limits of this fiction.
+ * granularity by the coupled loop (fast/simulator.cc).  Cross-core
+ * speculation hazards through shared state are bounded by the per-core
+ * run-ahead window and by software convention (the service workload
+ * communicates through single-writer mailboxes; only core 0 writes the
+ * console) — see DESIGN.md §16 for the honest limits of this fiction.
  */
 
 #ifndef FASTSIM_FM_SMP_HH

@@ -125,6 +125,22 @@ class Core : public CoreDrainPort
      *  the FM turned out to have no run-ahead to roll back). */
     void clearDrainRequest() { state_.drainRequested = false; }
 
+    // --- per-core face, shaped like tm::SmpCore's ------------------------
+    // The coupled loop (fast/simulator.hh) drives a one-core and an N-core
+    // timing model through the same calls; on this core every index is 0.
+    std::vector<TmEvent> drainEvents(unsigned) { return drainEvents(); }
+    CoreDrainPort &drainPort(unsigned) { return *this; }
+    void clearDrainRequest(unsigned) { clearDrainRequest(); }
+    const modules::CoreState &sliceState(unsigned) const { return state_; }
+    bool sliceDrained(unsigned) const { return drained(); }
+    std::uint64_t committedInstsTotal() const { return committedInsts(); }
+    std::size_t coherenceTokensInFlight(unsigned) const { return 0; }
+    void
+    setOnCommit(unsigned, std::function<void(const fm::TraceEntry &)> fn)
+    {
+        onCommit = std::move(fn);
+    }
+
     // In-flight protocol state, exposed for the guardrails' structured
     // deadlock diagnosis (the no-progress causes live in these flags).
     bool drainRequested() const { return state_.drainRequested; }

@@ -196,30 +196,12 @@ SmpCore::drainEvents(unsigned i)
 }
 
 std::uint64_t
-SmpCore::committedInsts(unsigned i) const
-{
-    return slices_.at(i)->state.committedInsts;
-}
-
-std::uint64_t
 SmpCore::committedInstsTotal() const
 {
     std::uint64_t n = 0;
     for (const auto &s : slices_)
         n += s->state.committedInsts;
     return n;
-}
-
-std::size_t
-SmpCore::robInsts(unsigned i) const
-{
-    return slices_.at(i)->state.rob.size();
-}
-
-Epoch
-SmpCore::expectedEpoch(unsigned i) const
-{
-    return slices_.at(i)->state.expectedEpoch;
 }
 
 void
@@ -235,46 +217,16 @@ SmpCore::setOnCommit(unsigned i,
     slices_.at(i)->onCommitFn = std::move(fn);
 }
 
-bool
-SmpCore::drainRequested(unsigned i) const
+const CoreState &
+SmpCore::sliceState(unsigned i) const
 {
-    return slices_.at(i)->state.drainRequested;
-}
-
-bool
-SmpCore::awaitingResteer(unsigned i) const
-{
-    return slices_.at(i)->state.awaitingResteer;
-}
-
-bool
-SmpCore::serializeInFlight(unsigned i) const
-{
-    return slices_.at(i)->state.serializeInFlight;
-}
-
-bool
-SmpCore::drainForMispredict(unsigned i) const
-{
-    return slices_.at(i)->state.drainForMispredict;
+    return slices_.at(i)->state;
 }
 
 bool
 SmpCore::sliceDrained(unsigned i) const
 {
     return slices_.at(i)->drained();
-}
-
-InstNum
-SmpCore::sliceNextFetchIn(unsigned i) const
-{
-    return slices_.at(i)->state.nextFetchIn;
-}
-
-bool
-SmpCore::sliceQuiesced(unsigned i) const
-{
-    return slices_.at(i)->quiesced();
 }
 
 bool

@@ -68,30 +68,18 @@ class SmpCore
     Cycle cycle() const { return cycle_; }
     HostCycle hostCycles() const { return hostCycles_; }
 
-    // --- per-slice protocol face -----------------------------------------
+    // --- per-slice protocol face (tm::Core offers the same set) ----------
     CoreDrainPort &drainPort(unsigned i);
     std::vector<TmEvent> drainEvents(unsigned i);
-    std::uint64_t committedInsts(unsigned i) const;
     std::uint64_t committedInstsTotal() const;
-    std::size_t robInsts(unsigned i) const;
-    Epoch expectedEpoch(unsigned i) const;
     void clearDrainRequest(unsigned i);
     void setOnCommit(unsigned i,
                      std::function<void(const fm::TraceEntry &)> fn);
 
-    // Protocol flags, exposed per core for the guardrails' structured
-    // no-progress diagnosis (fast/guardrails.cc).
-    bool drainRequested(unsigned i) const;
-    bool awaitingResteer(unsigned i) const;
-    bool serializeInFlight(unsigned i) const;
-    bool drainForMispredict(unsigned i) const;
-
-    /** Const views of the drain-port face (runner bookkeeping). */
+    /** Slice `i`'s protocol state: commit/fetch positions, epoch and the
+     *  drain/resteer/serialize flags (runner checks and diagnosis). */
+    const modules::CoreState &sliceState(unsigned i) const;
     bool sliceDrained(unsigned i) const;
-    InstNum sliceNextFetchIn(unsigned i) const;
-
-    /** Slice pipeline quiesced (Core::quiescedForSnapshot per core). */
-    bool sliceQuiesced(unsigned i) const;
 
     /** Every slice quiesced.  Coherence tokens may legally remain in
      *  flight (a pending ifetch miss survives a drain exactly as the

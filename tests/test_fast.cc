@@ -4,13 +4,19 @@
  * instruction stream and final architectural state of a FAST run equal a
  * plain functional-model run, for every branch-predictor configuration,
  * despite wrong-path excursions, roll-backs, exceptions and interrupts.
+ * Plus the runner-counter names the host-speed benchmark reads.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
+#include "fast/parallel.hh"
 #include "fast/simulator.hh"
+#include "fast/smp.hh"
 #include "isa/assembler.hh"
 #include "kernel/boot.hh"
+#include "workloads/service.hh"
 #include "workloads/workloads.hh"
 
 namespace fastsim {
@@ -321,6 +327,59 @@ TEST(FastSim, HostCyclesPerTargetCycleReasonable)
     const double h = sim.core().hostCyclesPerTargetCycle();
     EXPECT_GT(h, 5.0);
     EXPECT_LT(h, 80.0);
+}
+
+/** Every runner counter perfbench/perfbench.cc reads from sim.stats()
+ *  must be served — non-zero on a guest that exercises it — by each
+ *  runner that owns it.  stats::Group::value() returns 0 for an unknown
+ *  name, so a renamed counter would otherwise zero a benchmark metric
+ *  without any test noticing. */
+TEST(FastSim, BenchmarkCounterNamesAreServed)
+{
+    auto expectServed = [](const stats::Group &s,
+                           std::initializer_list<const char *> names) {
+        for (const char *n : names)
+            EXPECT_GT(s.value(n), 0u) << s.name() << "." << n;
+    };
+
+    // A timer-driven guest that halts between ticks and reads the disk.
+    auto opts = workloads::bootOptionsFor(workloads::byName("164.gzip"), 500);
+    opts.timerInterval = 4000;
+    const kernel::BootImage image = kernel::buildBootImage(opts);
+    FastConfig cfg = configWithBp(tm::BpKind::Gshare);
+
+    FastSimulator coupled(cfg);
+    coupled.boot(image);
+    ASSERT_TRUE(coupled.run(200000000).finished);
+    expectServed(coupled.stats(),
+                 {"fm_halted_polls", "fm_stall_tb_full", "wrong_path_resteers",
+                  "resolve_resteers", "timer_interrupts", "disk_completions"});
+
+    // Epoch window, command batching and a short spin budget, so the
+    // hold ticks, batches and parks all happen.
+    FastConfig pc = cfg;
+    pc.tuning.maxOutstandingEpochs = 4;
+    pc.tuning.cmdBatchCommits = 16;
+    pc.tuning.spinIters = 16;
+    ParallelFastSimulator parallel(pc);
+    parallel.boot(image);
+    ASSERT_TRUE(parallel.run(200000000).finished);
+    expectServed(parallel.stats(),
+                 {"wrong_path_resteers", "resolve_resteers", "timer_interrupts",
+                  "disk_completions", "fm_parks", "tm_parks",
+                  "epoch_hold_ticks", "cmd_commit_batches"});
+
+    workloads::ServiceConfig svc;
+    svc.loadGenerators = 1;
+    svc.requestsPerGen = 4;
+    FastConfig sc = cfg;
+    sc.numCores = 2;
+    SmpSimulator smp(sc);
+    smp.boot(kernel::buildBootImage(workloads::serviceBootOptions(svc)));
+    ASSERT_TRUE(smp.run(50000000).finished);
+    expectServed(smp.stats(),
+                 {"fm_halted_polls", "fm_stall_tb_full", "resolve_resteers",
+                  "disk_completions", "wrong_path_suppressed"});
 }
 
 } // namespace
