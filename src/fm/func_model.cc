@@ -1419,18 +1419,21 @@ FuncModel::execute(const Insn &insn, TraceEntry &e, Fault &fault)
 
 // --- step -------------------------------------------------------------------
 
+bool
+FuncModel::wakePending() const
+{
+    return state_.halted && (state_.flags & FlagBit::FlagI) &&
+           (pic_->pendingVector() != 0 ||
+            (pendingInject_ && !pic_->isMasked(pendingInject_)) ||
+            (pendingDiskComplete_ && !pic_->isMasked(isa::VecDisk)));
+}
+
 StepResult
 FuncModel::step()
 {
     // Deliverability check while halted (wake-up).
     if (state_.halted) {
-        const bool if_set = state_.flags & FlagBit::FlagI;
-        const bool deliverable =
-            if_set &&
-            (pic_->pendingVector() != 0 ||
-             (pendingInject_ && !pic_->isMasked(pendingInject_)) ||
-             (pendingDiskComplete_ && !pic_->isMasked(isa::VecDisk)));
-        if (!deliverable) {
+        if (!wakePending()) {
             // In standalone mode device time must keep flowing or the
             // timer could never wake us.
             if (cfg_.fmDrivenDevices) {

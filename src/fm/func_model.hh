@@ -208,6 +208,9 @@ class FuncModel : public DeviceBus
     Epoch epoch() const { return epoch_; }
     bool onWrongPath() const { return wrongPath_; }
     bool halted() const { return state_.halted; }
+    /** Halted, but an interrupt or injected device event is deliverable:
+     *  the next step() wakes the core and produces an entry. */
+    bool wakePending() const;
     const ArchState &state() const { return state_; }
     ArchState &mutableState() { return state_; } //!< tests only
 

@@ -240,6 +240,14 @@ const GoldenWorkload kGoldenWorkloads[] = {
     {"Sweep3D", 2000},    {"MySQL", 2500},
 };
 
+/** Name the case by its workload: gtest's default byte dump would embed
+ *  the name's address, which differs from build to build. */
+void
+PrintTo(const GoldenWorkload &g, std::ostream *os)
+{
+    *os << '"' << g.name << '"';
+}
+
 class GoldenHashParity : public ::testing::TestWithParam<GoldenWorkload>
 {
 };

@@ -414,6 +414,45 @@ TEST(FmRollback, InterruptInjectionAtCommittedBoundary)
     EXPECT_EQ(fm.state().gpr[2], 0u); // loop still completed
 }
 
+TEST(FmRollback, IdleHaltReportsInjectedWakeUp)
+{
+    // An interrupt injected into an idle core (halted with interrupts on)
+    // leaves it halted until the next step() delivers it; wakePending()
+    // is what tells a runner the core is about to produce again.
+    FuncModel fm(specConfig());
+    Assembler a(Base);
+    constexpr PAddr IdtPa = 0x500;
+    Label handler = a.newLabel();
+    a.movri(RegSp, StackTop);
+    a.movri(R0, IdtPa);
+    a.crwrite(CrIdt, R0);
+    a.sti();
+    a.hlt();
+    a.bind(handler);
+    a.incr(R6);
+    a.cli();
+    a.hlt();
+    fm.loadImage(Base, a.finish());
+    for (unsigned v = 0; v < 256; ++v)
+        fm.mem().write32(IdtPa + 4 * v, a.addrOf(handler));
+    fm.reset(Base);
+
+    while (fm.step().kind == StepResult::Kind::Ok) {
+    }
+    ASSERT_TRUE(fm.halted());
+    EXPECT_FALSE(fm.wakePending());
+    fm.commit(fm.nextIn() - 1);
+
+    fm.resteerForInterrupt(fm.nextIn(), VecTimer);
+    EXPECT_TRUE(fm.halted());
+    EXPECT_TRUE(fm.wakePending());
+    auto r = fm.step();
+    ASSERT_EQ(r.kind, StepResult::Kind::Ok);
+    EXPECT_EQ(r.entry.pc, a.addrOf(handler));
+    EXPECT_FALSE(fm.halted());
+    EXPECT_FALSE(fm.wakePending());
+}
+
 TEST(FmRollback, UndoLogGrowthBounded)
 {
     FuncModel fm(specConfig());

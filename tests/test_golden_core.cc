@@ -71,6 +71,14 @@ const Golden kGolden[] = {
 };
 // clang-format on
 
+/** Name the case by its workload: gtest's default byte dump would embed
+ *  the name's address, which differs from build to build. */
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << '"' << g.workload << '"';
+}
+
 class GoldenRun : public ::testing::TestWithParam<Golden>
 {
 };
