@@ -4,15 +4,11 @@
  * contribution: running the functional model in parallel with the timing
  * model across the latency-tolerant trace-buffer boundary (§3).
  *
- * Stage 1 sweeps the parallel runner's tuning space — epoch window
- * (tuning.maxOutstandingEpochs) × command batch (tuning.cmdBatchCommits)
- * × trace-ring capacity (fixed vs adaptive) — on a three-workload subset
- * and picks the configuration with the best geomean throughput.
- *
- * Stage 2 runs all 17 golden workloads coupled and parallel at that
- * configuration (commit-anchored device timing, hash chain on) and
- * reports per-workload and geomean speedup, verifying on the way that
- * every parallel run reproduces the coupled commit hash bit-for-bit.
+ * It runs all 17 golden workloads coupled and parallel — the parallel
+ * runner at its one fixed schedule (DESIGN.md §12), commit-anchored
+ * device timing, hash chain on — and reports per-workload and geomean
+ * speedup, verifying on the way that every parallel run reproduces the
+ * coupled commit hash bit-for-bit.
  *
  * Everything lands in BENCH_parallel_speedup.json.  On a single-core
  * host the comparison is meaningless (both threads time-slice one core),
@@ -56,28 +52,6 @@ const GoldenWorkload kGolden[] = {
     {"Sweep3D", 2000},    {"MySQL", 2500},
 };
 
-/** The sweep subset: a compressor, a pointer-chaser and an interpreter. */
-const GoldenWorkload kSweepSubset[] = {
-    {"164.gzip", 8000},
-    {"186.crafty", 6000},
-    {"253.perlbmk", 400},
-};
-
-struct Tuning
-{
-    unsigned epochs;
-    unsigned batch;
-    bool adaptive;
-
-    std::string
-    label() const
-    {
-        return "epochs=" + std::to_string(epochs) +
-               " batch=" + std::to_string(batch) +
-               (adaptive ? " ring=adaptive" : " ring=256");
-    }
-};
-
 kernel::BootImage
 imageFor(const GoldenWorkload &g)
 {
@@ -88,19 +62,11 @@ imageFor(const GoldenWorkload &g)
 }
 
 fast::FastConfig
-speedupConfig(const Tuning &t)
+speedupConfig()
 {
     fast::FastConfig cfg = bench::benchConfig(tm::BpKind::Gshare);
     cfg.guardrails.hashCommits = true;
     cfg.deterministicDevices = true;
-    cfg.tuning.maxOutstandingEpochs = t.epochs;
-    cfg.tuning.cmdBatchCommits = t.batch;
-    if (t.adaptive) {
-        cfg.traceBufferEntries = 1024;
-        cfg.tuning.adaptive.enabled = true;
-        cfg.tuning.adaptive.minEntries = 256;
-        cfg.tuning.adaptive.maxEntries = 4096;
-    }
     return cfg;
 }
 
@@ -116,7 +82,6 @@ struct Timed
     std::uint64_t parks = 0;
     std::uint64_t batches = 0;
     std::uint64_t batchedCommits = 0;
-    std::uint64_t resizes = 0;
 };
 
 template <typename Sim>
@@ -134,14 +99,13 @@ timedRun(Sim &sim, const kernel::BootImage &image)
     t.insts = r.insts;
     t.hash = sim.commitHash();
     t.kips = secs > 0 ? r.insts / secs / 1000.0 : 0;
-    t.resteers = sim.stats().value("mispredict_resteers") +
+    t.resteers = sim.stats().value("wrong_path_resteers") +
                  sim.stats().value("resolve_resteers");
     t.holdTicks = sim.stats().value("epoch_hold_ticks");
     t.parks =
         sim.stats().value("fm_parks") + sim.stats().value("tm_parks");
     t.batches = sim.stats().value("cmd_commit_batches");
     t.batchedCommits = sim.stats().value("cmd_batched_commits");
-    t.resizes = sim.stats().value("tb_resizes");
     return t;
 }
 
@@ -220,7 +184,7 @@ emitSkipRecord(unsigned cores)
                 cores);
 
     const Timed coupled =
-        runCoupled(speedupConfig({1, 1, false}), imageFor({"164.gzip", 8000}));
+        runCoupled(speedupConfig(), imageFor({"164.gzip", 8000}));
     std::printf("coupled reference on 164.gzip: %.0f KIPS\n", coupled.kips);
 
     if (std::FILE *f = std::fopen("BENCH_parallel_speedup.json", "w")) {
@@ -251,47 +215,9 @@ wallClockComparison()
         return;
     }
 
-    bench::banner("Parallel FAST: tuning sweep + 17-workload speedup",
+    bench::banner("Parallel FAST: 17-workload speedup",
                   "paper §3 — parallelizing on the functional/timing "
                   "boundary");
-
-    // Stage 1: sweep epoch window x batch x ring sizing on the subset.
-    const Tuning sweepSpace[] = {
-        {1, 1, false}, {1, 1, true},  {1, 16, false}, {1, 16, true},
-        {2, 1, false}, {2, 1, true},  {2, 16, false}, {2, 16, true},
-        {4, 1, false}, {4, 1, true},  {4, 16, false}, {4, 16, true},
-    };
-    stats::TablePrinter sweepTable(
-        {"Tuning", "gzip KIPS", "crafty KIPS", "perlbmk KIPS", "geomean"});
-    std::string sweepJson;
-    Tuning best{1, 1, false};
-    double bestGeomean = 0;
-    for (const Tuning &t : sweepSpace) {
-        const fast::FastConfig cfg = speedupConfig(t);
-        std::vector<double> kips;
-        std::vector<std::string> row{t.label()};
-        for (const GoldenWorkload &g : kSweepSubset) {
-            const Timed p = runParallel(cfg, imageFor(g));
-            kips.push_back(p.kips);
-            row.push_back(stats::TablePrinter::num(p.kips, 0));
-        }
-        const double gm = geomean(kips);
-        row.push_back(stats::TablePrinter::num(gm, 0));
-        sweepTable.addRow(row);
-        sweepJson += "    {\"epochs\": " + std::to_string(t.epochs) +
-                     ", \"batch\": " + std::to_string(t.batch) +
-                     ", \"adaptive\": " + (t.adaptive ? "true" : "false") +
-                     ", \"geomean_kips\": " +
-                     std::to_string(static_cast<std::uint64_t>(gm)) + "},\n";
-        if (gm > bestGeomean) {
-            bestGeomean = gm;
-            best = t;
-        }
-    }
-    sweepTable.print();
-    std::printf("\nbest tuning: %s\n\n", best.label().c_str());
-    if (!sweepJson.empty())
-        sweepJson.erase(sweepJson.size() - 2, 1); // drop trailing comma
 
     // Monolithic baseline (legacy comparison row, one workload).
     double mono_kips = 0;
@@ -303,9 +229,9 @@ wallClockComparison()
         mono_kips = m.kips;
     }
 
-    // Stage 2: all 17 golden workloads, coupled vs best-tuned parallel,
-    // with the commit-hash parity check riding along.
-    const fast::FastConfig cfg = speedupConfig(best);
+    // All 17 golden workloads, coupled vs parallel, with the commit-hash
+    // parity check riding along.
+    const fast::FastConfig cfg = speedupConfig();
     stats::TablePrinter table({"Workload", "coupled KIPS", "parallel KIPS",
                                "speedup", "hash"});
     std::vector<double> speedups, coupledKips, parallelKips;
@@ -328,7 +254,6 @@ wallClockComparison()
         totals.parks += p.parks;
         totals.batches += p.batches;
         totals.batchedCommits += p.batchedCommits;
-        totals.resizes += p.resizes;
         table.addRow({g.name, stats::TablePrinter::num(c.kips, 0),
                       stats::TablePrinter::num(p.kips, 0),
                       stats::TablePrinter::num(speedup, 2),
@@ -363,22 +288,17 @@ wallClockComparison()
             "  \"parallel_vs_coupled\": %.3f,\n"
             "  \"hash_matches\": %u,\n"
             "  \"workload_count\": %zu,\n"
-            "  \"best_tuning\": {\"epochs\": %u, \"batch\": %u, "
-            "\"adaptive\": %s},\n"
             "  \"counters\": {\"resteers\": %llu, \"epoch_hold_ticks\": "
             "%llu, \"parks\": %llu, \"cmd_commit_batches\": %llu, "
-            "\"cmd_batched_commits\": %llu, \"tb_resizes\": %llu},\n"
-            "  \"sweep\": [\n%s  ],\n"
+            "\"cmd_batched_commits\": %llu},\n"
             "  \"workloads\": [\n%s  ]\n}\n",
             cores, mono_kips, geomean(coupledKips), geomean(parallelKips),
             gmSpeedup, hashMatches, sizeof(kGolden) / sizeof(kGolden[0]),
-            best.epochs, best.batch, best.adaptive ? "true" : "false",
             static_cast<unsigned long long>(totals.resteers),
             static_cast<unsigned long long>(totals.holdTicks),
             static_cast<unsigned long long>(totals.parks),
             static_cast<unsigned long long>(totals.batches),
             static_cast<unsigned long long>(totals.batchedCommits),
-            static_cast<unsigned long long>(totals.resizes), sweepJson.c_str(),
             workloadJson.c_str());
         std::fclose(f);
         std::printf("wrote BENCH_parallel_speedup.json\n");

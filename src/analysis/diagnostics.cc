@@ -89,8 +89,6 @@ diagnosticCatalog()
          "bounded memory edge undersized for the level's MSHR depth"},
         {"FAB008", "writeback->commit capacity smaller than the ROB"},
         {"FAB009", "issueWidth exceeds the total functional units"},
-        {"FAB010", "invalid parallel tuning (epoch window, command batch, "
-                   "adaptive trace-ring bounds)"},
         {"FAB011", "illegal BSP cut (zero-latency or bounded cross-partition "
                    "edge, or a sync domain split across partitions)"},
         {"FAB012", "BSP partition advisory (fabric collapsed below the "

@@ -138,13 +138,18 @@ struct CatalogEntry
  * model-check job, dashboards) can gate on the version instead of
  * sniffing fields.
  */
-constexpr unsigned kCatalogVersion = 9;
+constexpr unsigned kCatalogVersion = 10;
 
 /**
  * Every diagnostic ID the verification tooling can emit, in catalog
  * order: FAB (fabric/config/partition), COD (codec), DET (source-level
  * determinism, emitted by tools/lint_determinism.py), PROT (protocol
  * model checking).
+ *
+ * Retired IDs are never reused:
+ *   FAB010 (catalog v10)  invalid parallel-runner tuning — the epoch
+ *                         window, command batch and adaptive trace-ring
+ *                         bounds it validated became fixed constants.
  */
 const std::vector<CatalogEntry> &diagnosticCatalog();
 
@@ -163,7 +168,7 @@ struct PassRecord
  * Stable machine-readable report.  Schema (append-only; breaking changes
  * bump kCatalogVersion):
  *
- *   {"catalog_version":9,
+ *   {"catalog_version":10,
  *    "passes":[{"name":"fabric","runtime_us":N,"findings":N},...],
  *    "errors":N,"warnings":N,
  *    "diagnostics":[{"id","severity","where","message"},...]}

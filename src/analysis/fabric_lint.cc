@@ -345,66 +345,6 @@ lintConfig(const tm::CoreConfig &cfg, Report &report)
 }
 
 void
-lintParallelTuning(const fast::ParallelTuning &tuning, unsigned rob_entries,
-                   Report &report)
-{
-    const auto isPow2 = [](std::size_t v) {
-        return v != 0 && (v & (v - 1)) == 0;
-    };
-
-    // FAB010: reject-at-construction checks for the rendezvous knobs.
-    // Each of these wedges or diverges at run time in a way that looks
-    // like a scheduling bug, so the lint names the failure it prevents.
-    if (tuning.maxOutstandingEpochs == 0)
-        report.error("FAB010", "maxOutstandingEpochs",
-                     "epoch window is 0: the tick gate could never open "
-                     "and the first rendezvous would wedge (1 = no "
-                     "pipelining, >= 2 = pipelined)");
-    if (tuning.cmdBatchCommits == 0)
-        report.error("FAB010", "cmdBatchCommits",
-                     "commit batch size is 0: a pending batch would never "
-                     "flush and the FM would starve of commit releases "
-                     "(1 = unbatched)");
-
-    const fast::AdaptiveSizing &a = tuning.adaptive;
-    if (!a.enabled)
-        return;
-    if (!isPow2(a.minEntries))
-        report.error("FAB010", "adaptive.minEntries",
-                     "lower ring bound " + std::to_string(a.minEntries) +
-                         " is not a power of two: the pow2 trace ring "
-                         "cannot honor it");
-    if (!isPow2(a.maxEntries))
-        report.error("FAB010", "adaptive.maxEntries",
-                     "upper ring bound " + std::to_string(a.maxEntries) +
-                         " is not a power of two: the pow2 trace ring "
-                         "cannot honor it");
-    if (a.minEntries > a.maxEntries)
-        report.error("FAB010", "adaptive.bounds",
-                     "inverted bounds: minEntries " +
-                         std::to_string(a.minEntries) + " > maxEntries " +
-                         std::to_string(a.maxEntries));
-    if (a.ewmaShift > 16)
-        report.error("FAB010", "adaptive.ewmaShift",
-                     "EWMA shift " + std::to_string(a.ewmaShift) +
-                         " > 16: the average would effectively never move");
-    if (a.headroomMul == 0)
-        report.error("FAB010", "adaptive.headroomMul",
-                     "headroom multiplier is 0: the target capacity would "
-                     "collapse to the lower clamp regardless of the "
-                     "observed resteer rate");
-    if (rob_entries != 0 && isPow2(a.minEntries) &&
-        a.minEntries < 2 * static_cast<std::size_t>(rob_entries))
-        report.error(
-            "FAB010", "adaptive.minEntries",
-            "lower ring bound " + std::to_string(a.minEntries) +
-                " is below 2 * robEntries (" + std::to_string(rob_entries) +
-                "): a shrink could leave fewer unfetched entries than the "
-                "in-flight window and starve fetch, perturbing target "
-                "cycles — adaptive sizing must be timing-neutral");
-}
-
-void
 lintFabricCost(const tm::FpgaCost &cost, const fpga::Device &dev,
                Report &report)
 {

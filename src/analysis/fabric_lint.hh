@@ -37,17 +37,6 @@
  *           bounded buffer drops completions and wedges retirement)
  *   FAB009  issueWidth exceeds the total functional units (the extra
  *           issue slots can never all launch in one cycle)
- *
- * A third entry point, lintParallelTuning(), validates the parallel
- * runner's performance knobs (fast/tuning.hh) the same way — before a
- * thread is spawned rather than after a rendezvous wedges:
- *
- *   FAB010  invalid parallel tuning: a zero epoch window or command
- *           batch (the rendezvous would never open), non-power-of-two
- *           or inverted adaptive ring bounds (the pow2 ring cannot
- *           honor them), or an adaptive lower bound small enough that
- *           a shrink could starve fetch and perturb target cycles
- *           (minEntries < 2 * robEntries)
  */
 
 #ifndef FASTSIM_ANALYSIS_FABRIC_LINT_HH
@@ -57,7 +46,6 @@
 #include <vector>
 
 #include "analysis/diagnostics.hh"
-#include "fast/tuning.hh"
 #include "fpga/model.hh"
 #include "tm/connector.hh"
 #include "tm/core_types.hh"
@@ -109,14 +97,6 @@ void lintFabricCost(const tm::FpgaCost &cost, const fpga::Device &dev,
 
 /** Run FAB007–FAB009 over the resolved configuration. */
 void lintConfig(const tm::CoreConfig &cfg, Report &report);
-
-/**
- * FAB010: validate the parallel runner's tuning knobs at construction.
- * `rob_entries` anchors the adaptive lower-bound safety margin (pass the
- * CoreConfig's robEntries; 0 skips that relational check).
- */
-void lintParallelTuning(const fast::ParallelTuning &tuning,
-                        unsigned rob_entries, Report &report);
 
 } // namespace analysis
 } // namespace fastsim

@@ -65,7 +65,7 @@ struct ProtocolModelConfig
     unsigned tbCap = 2;       //!< unfetched trace-ring entries
     unsigned robCap = 2;      //!< fetched, uncommitted entries
     unsigned chanCap = 3;     //!< TM->FM commands in flight
-    unsigned epochWindow = 2; //!< tuning.maxOutstandingEpochs
+    unsigned epochWindow = 2; //!< the parallel runner's EpochWindow
 
     /** Bounded-depth frontier: 0 explores exhaustively; otherwise states
      *  deeper than this are not expanded (PROT001/PROT002 are then only

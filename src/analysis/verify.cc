@@ -80,16 +80,5 @@ verifyFabricOrFatal(const tm::ModuleRegistry &reg, const tm::CoreConfig &cfg)
               report.errorCount(), report.text().c_str());
 }
 
-void
-verifyParallelTuningOrFatal(const fast::ParallelTuning &tuning,
-                            unsigned rob_entries)
-{
-    Report report;
-    lintParallelTuning(tuning, rob_entries, report);
-    if (report.hasErrors())
-        fatal("parallel tuning validation failed (%zu error(s)):\n%s",
-              report.errorCount(), report.text().c_str());
-}
-
 } // namespace analysis
 } // namespace fastsim

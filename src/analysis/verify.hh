@@ -20,7 +20,6 @@
 
 #include "analysis/diagnostics.hh"
 #include "analysis/partition.hh"
-#include "fast/tuning.hh"
 #include "fpga/model.hh"
 #include "tm/core.hh"
 
@@ -63,16 +62,6 @@ void verifyFabricOrFatal(const tm::Core &core);
 /** Registry-based variant (the SMP simulator's construction hook). */
 void verifyFabricOrFatal(const tm::ModuleRegistry &reg,
                          const tm::CoreConfig &cfg);
-
-/**
- * Construction-time validation of the parallel tuning knobs (FAB010).
- * Unconditional in both runner constructors — unlike the fabric pass
- * there is no opt-out, because an invalid epoch window or batch size
- * does not merely mis-model, it wedges the rendezvous.  Throws
- * FatalError listing every finding.
- */
-void verifyParallelTuningOrFatal(const fast::ParallelTuning &tuning,
-                                 unsigned rob_entries);
 
 } // namespace analysis
 } // namespace fastsim

@@ -56,6 +56,8 @@ class Sink
     void
     putBytes(const void *p, std::size_t n)
     {
+        if (n == 0)
+            return; // an empty vector's data() may be null: no memcpy
         const std::size_t off = buf_.size();
         buf_.resize(off + n);
         std::memcpy(buf_.data() + off, p, n);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "analysis/protocol_model.hh"
 #include "base/logging.hh"
 
 namespace fastsim {
@@ -11,6 +12,21 @@ namespace fast {
 using tm::TmEvent;
 
 namespace {
+// The runner's one schedule.  None of it is configurable; DESIGN.md §12.6
+// records the pair measurements that chose it.
+
+/** Epoch window: resteer-class events that may be outstanding (issued,
+ *  not yet FM-acknowledged) while the TM ticks the mispredict drain. */
+constexpr std::uint64_t EpochWindow = 2;
+static_assert(EpochWindow == analysis::ProtocolModelConfig{}.epochWindow,
+              "fastcheck (PROT001-004) explores the shipped epoch window");
+
+/** Cumulative Commit events coalesced into one TM->FM command. */
+constexpr unsigned CommitBatch = 16;
+
+/** Fruitless polls before a waiting TM parks on the condition variable. */
+constexpr unsigned SpinIters = 2048;
+
 /** TM -> FM event channel depth.  Sized so the TM can run hundreds of
  *  ticks (one Commit each) ahead of a sleeping FM without blocking. */
 constexpr std::size_t EventRingEntries = 4096;
@@ -30,7 +46,7 @@ degradedLoopConfig(FastConfig cfg)
 ParallelFastSimulator::ParallelFastSimulator(const FastConfig &cfg)
     : CoupledLoop(degradedLoopConfig(cfg), "fast_parallel"),
       tb_(*faces_[0].tb), link_(*faces_[0].link), cmd_(*faces_[0].cmd),
-      sizer_(*faces_[0].sizer), events_(EventRingEntries),
+      events_(EventRingEntries),
       stFmParks_(stats_.handle("fm_parks")),
       stTmParks_(stats_.handle("tm_parks")),
       stFmWakes_(stats_.handle("fm_wakes")),
@@ -86,7 +102,7 @@ ParallelFastSimulator::tmSpinThenPark(Pred &&ready)
     // TM thread.  Bounded spin first: the FM polls the event ring every
     // interpreted instruction, so the condition normally flips within a
     // handful of host instructions and parking would cost two context
-    // switches for nothing.  Only after tuning.spinIters fruitless
+    // switches for nothing.  Only after SpinIters fruitless
     // iterations does the thread take the mutex and park (with a timeout:
     // the wait conditions are re-derived from atomics the waker does not
     // always touch under the lock, so the cv is a latency optimization,
@@ -97,7 +113,7 @@ ParallelFastSimulator::tmSpinThenPark(Pred &&ready)
     // scheduler quanta to the other thread per poll — fatal for the
     // watchdog's polls-until-fire budget).
     using namespace std::chrono_literals;
-    const unsigned spin = tmLastParked_ ? 0 : cfg_.tuning.spinIters;
+    const unsigned spin = tmLastParked_ ? 0 : SpinIters;
     for (unsigned i = 0; i < spin; ++i) {
         if (ready() || stop_.load(std::memory_order_relaxed)) {
             tmLastParked_ = false;
@@ -132,16 +148,6 @@ ParallelFastSimulator::applyMessage(const TmEvent &e)
     cmd_.ownerRole.assertHeld();
     if (cmd_.apply(e, *fm_, tb_, stats_))
         fmStalledWrongPath_.store(false, std::memory_order_relaxed);
-    // Adaptive ring sizing happens at epoch boundaries, *inside* the
-    // resteer window: the TM thread is guaranteed not to be reading the
-    // trace buffer until the applied-count release below, so the logical
-    // capacity never changes under a concurrent reader.  Same call
-    // sites as the coupled runner (Resolve + injections, not WrongPath),
-    // so both runners walk the identical capacity trajectory.
-    if (e.kind == TmEvent::Kind::Resolve ||
-        e.kind == TmEvent::Kind::InjectTimer ||
-        e.kind == TmEvent::Kind::InjectDisk)
-        sizer_.noteEpochBoundary(e.in, tb_);
     switch (e.kind) {
       case TmEvent::Kind::Commit:
         // Release after commitTo so that when the TM's tick gate observes
@@ -353,7 +359,7 @@ ParallelFastSimulator::relayTickEvents()
             commitHeld_ = true;
             heldCommit_ = e;
             ++heldCount_;
-            if (heldCount_ >= cfg_.tuning.cmdBatchCommits)
+            if (heldCount_ >= CommitBatch)
                 flushCommitBatch();
             break;
           default:
@@ -382,9 +388,7 @@ ParallelFastSimulator::holdTickSafe() const
     // in-flight count, and holding stops once the epoch window is full.
     const std::uint64_t inflight =
         resteersIssued_ - resteersApplied_.load(std::memory_order_acquire);
-    return cfg_.tuning.maxOutstandingEpochs >= 2 &&
-           inflight < cfg_.tuning.maxOutstandingEpochs &&
-           core_->drainForMispredict() &&
+    return inflight < EpochWindow && core_->drainForMispredict() &&
            core_->robInsts() > core_->commitWidth() &&
            !core_->robHasException();
 }
@@ -466,12 +470,11 @@ ParallelFastSimulator::tmThreadMain(Cycle max_cycles)
 
         // Resteer rendezvous: between issuing a resteer-class event and
         // the FM's ack, the trace buffer's write side may move backwards,
-        // so this thread must not touch the buffer at all.  With an epoch
-        // window (tuning.maxOutstandingEpochs >= 2) the drain cycles of
-        // the flush are ticked *under* the outstanding resteer instead of
-        // idling — holdTickSafe() proves tick-by-tick that the buffer
-        // stays untouched.  When no safe tick exists, spin briefly, then
-        // park until the ack.
+        // so this thread must not touch the buffer at all.  Within the
+        // epoch window the drain cycles of the flush are ticked *under*
+        // the outstanding resteer instead of idling — holdTickSafe()
+        // proves tick-by-tick that the buffer stays untouched.  When no
+        // safe tick exists, spin briefly, then park until the ack.
         if (resteerPending()) {
             if (holdTickSafe()) {
                 ++stEpochHoldTicks_;
@@ -581,14 +584,12 @@ ParallelFastSimulator::runnerStateDiagnosis() const
     d += line;
     std::snprintf(
         line, sizeof(line),
-        "    parks fm=%llu tm=%llu wakes fm=%llu tm=%llu holdTicks=%llu "
-        "epochWindow=%u\n",
+        "    parks fm=%llu tm=%llu wakes fm=%llu tm=%llu holdTicks=%llu\n",
         static_cast<unsigned long long>(stFmParks_.value()),
         static_cast<unsigned long long>(stTmParks_.value()),
         static_cast<unsigned long long>(stFmWakes_.value()),
         static_cast<unsigned long long>(stTmWakes_.value()),
-        static_cast<unsigned long long>(stEpochHoldTicks_.value()),
-        cfg_.tuning.maxOutstandingEpochs);
+        static_cast<unsigned long long>(stEpochHoldTicks_.value()));
     d += line;
     return d;
 }

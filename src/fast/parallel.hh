@@ -32,35 +32,35 @@
  *    polls the event ring every instruction, so the ack normally lands
  *    within ~one interpreted instruction.
  *
- * Performance machinery (DESIGN.md §12; FastConfig::tuning):
+ * Performance machinery (DESIGN.md §12), one fixed schedule — the
+ * constants EpochWindow, CommitBatch and SpinIters in parallel.cc:
  *
- *  - *epoch pipelining*: with tuning.maxOutstandingEpochs >= 2 the TM
- *    does not idle for the whole resteer round trip — while the FM is
- *    still applying the rewind, the TM keeps ticking the mispredict
- *    drain cycles that provably cannot touch the trace buffer (the
- *    fetch stage early-returns under drainForMispredict and the commit
- *    stage can retire at most commitWidth ROB entries per tick).  Those
- *    held ticks are exactly the cycles the coupled reference spends
- *    draining the same flush, so cycle counts and golden hashes stay
- *    bit-identical; rewinds still only ever target the oldest
- *    unverified epoch because the FM applies ring-ordered events.
+ *  - *epoch pipelining*: with up to EpochWindow (2) resteers in flight
+ *    the TM does not idle for the whole resteer round trip — while the
+ *    FM is still applying the rewind, the TM keeps ticking the
+ *    mispredict drain cycles that provably cannot touch the trace
+ *    buffer (the fetch stage early-returns under drainForMispredict and
+ *    the commit stage can retire at most commitWidth ROB entries per
+ *    tick).  Those held ticks are exactly the cycles the coupled
+ *    reference spends draining the same flush, so cycle counts and
+ *    golden hashes stay bit-identical; rewinds still only ever target
+ *    the oldest unverified epoch because the FM applies ring-ordered
+ *    events.  The window equals the protocol model's (fastcheck
+ *    PROT001-004 explore it exhaustively).
  *  - *batched TM->FM commands*: Commit events are cumulative
  *    ("everything up to IN retired"), so the TM coalesces up to
- *    tuning.cmdBatchCommits of them into the newest one before pushing,
+ *    CommitBatch (16) of them into the newest one before pushing,
  *    flushing the held batch before any resteer-class or injection push
  *    (order through the CmdChannel is preserved) and whenever the tick
  *    gate closes (the FM may be waiting on exactly that commit to free
  *    trace-buffer space or reach the final boundary).
- *  - *spin-then-park*: both threads spin a bounded tuning.spinIters
+ *  - *spin-then-park*: a waiting TM polls up to SpinIters (2048) times
  *    before parking on the shared condition variable; parks and wakes
  *    are counted (fm_parks / tm_parks / fm_wakes / tm_wakes) and the
  *    watchdog treats a park behind a *moving* FM as healthy via the
  *    aux-progress channel of Guardrails::notePoll.
- *  - *adaptive trace sizing*: AdaptiveTraceSizer retargets the trace
- *    ring's logical capacity from the observed inter-epoch distance; it
- *    runs on the FM thread at epoch boundaries, inside the resteer
- *    window (before the applied-count release), so the TM never
- *    observes a capacity change mid-read.
+ *
+ * The trace ring keeps FastConfig::traceBufferEntries for the whole run.
  *
  * Functional results (committed work, console output, final state) are
  * identical to the coupled simulator.  With the default device semantics,
@@ -158,7 +158,6 @@ class ParallelFastSimulator : private CoupledLoop<tm::Core>
     tm::TraceBuffer &tb_;
     inject::TraceLink &link_;
     CmdChannel &cmd_;
-    AdaptiveTraceSizer &sizer_; //!< FM-thread driven (epoch boundaries)
     std::uint64_t fmStallRemaining_ = 0; //!< FM-thread-local (FmStall)
     bool degraded_ = false;              //!< set after both threads stopped
 

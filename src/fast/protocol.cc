@@ -82,42 +82,6 @@ ProtocolEngine::applyToFm(const TmEvent &e, fm::FuncModel &fm,
     return false;
 }
 
-AdaptiveTraceSizer::AdaptiveTraceSizer(const AdaptiveSizing &cfg,
-                                       stats::Group &stats)
-    : cfg_(cfg), stResizes_(stats.handle("tb_resizes"))
-{
-}
-
-void
-AdaptiveTraceSizer::noteEpochBoundary(InstNum in, tm::TraceBuffer &tb)
-{
-    if (!cfg_.enabled)
-        return;
-    const std::uint64_t dist = in > lastIn_ ? in - lastIn_ : 0;
-    lastIn_ = in;
-    if (ewma_ == 0) {
-        ewma_ = dist; // seed with the first observation
-    } else {
-        const std::int64_t delta =
-            static_cast<std::int64_t>(dist) - static_cast<std::int64_t>(ewma_);
-        ewma_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(ewma_) +
-                                           (delta >> cfg_.ewmaShift));
-    }
-
-    std::uint64_t target = cfg_.headroomMul * ewma_;
-    if (target < cfg_.minEntries)
-        target = cfg_.minEntries;
-    if (target > cfg_.maxEntries)
-        target = cfg_.maxEntries;
-    std::size_t pow2 = cfg_.minEntries; // bounds are pow2 (FAB010)
-    while (pow2 < target)
-        pow2 <<= 1;
-    if (pow2 != tb.capacity()) {
-        tb.setCapacity(pow2);
-        ++stResizes_;
-    }
-}
-
 CmdChannel::CmdChannel(inject::FaultPlan *plan,
                        const host::LinkRetryPolicy &policy,
                        stats::Group &stats)

@@ -32,7 +32,6 @@
 #include "base/serialize.hh"
 #include "base/statistics.hh"
 #include "base/thread_annotations.hh"
-#include "fast/tuning.hh"
 #include "fm/func_model.hh"
 #include "host/link_model.hh"
 #include "inject/fault_plan.hh"
@@ -252,56 +251,6 @@ class ProtocolEngine
     Cycle diskCompleteAt_ = 0;
     bool pendingTimerIrq_ = false;
     bool pendingDiskComplete_ = false;
-};
-
-/**
- * Deterministic adaptive trace-ring sizing (DESIGN.md §12.3), shared by
- * both runners so their capacity trajectories are identical.
- *
- * Driven at *epoch boundaries* — each Resolve / InjectTimer / InjectDisk
- * event as it is applied to the functional model (the moment the ring's
- * speculative contents above the resteer point are discarded anyway).
- * The inter-boundary committed-IN distance feeds an integer EWMA; the
- * ring's logical capacity tracks `headroomMul * EWMA`, clamped to the
- * configured pow2 bounds.  Every input is a function of target execution
- * (applied-event INs), never of wall-clock or host scheduling, so the
- * resize sequence is bit-reproducible — fastlint's DET pass would reject
- * a clock read here for exactly that reason.
- *
- * Runs on whichever thread owns the FM (TraceBuffer::setCapacity is a
- * producer-side operation); in the parallel runner the resize therefore
- * completes before the resteer ack the TM's tick gate acquires.
- */
-class AdaptiveTraceSizer
-{
-  public:
-    AdaptiveTraceSizer(const AdaptiveSizing &cfg, stats::Group &stats);
-
-    /** Note an epoch boundary applied at IN `in`; maybe resize `tb`. */
-    void noteEpochBoundary(InstNum in, tm::TraceBuffer &tb);
-
-    bool enabled() const { return cfg_.enabled; }
-    std::uint64_t ewma() const { return ewma_; }
-
-    /** Snapshot support (the EWMA is deterministic target state). */
-    void
-    save(serialize::Sink &s) const
-    {
-        s.put<InstNum>(lastIn_);
-        s.put<std::uint64_t>(ewma_);
-    }
-    void
-    restore(serialize::Source &s)
-    {
-        lastIn_ = s.get<InstNum>();
-        ewma_ = s.get<std::uint64_t>();
-    }
-
-  private:
-    AdaptiveSizing cfg_;
-    InstNum lastIn_ = 0;      //!< IN of the previous epoch boundary
-    std::uint64_t ewma_ = 0;  //!< EWMA of inter-boundary IN distance
-    stats::Handle stResizes_;
 };
 
 /**

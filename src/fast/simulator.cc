@@ -32,7 +32,6 @@ CoupledLoop<Tm>::CoupledLoop(const FastConfig &cfg, const char *stats_name)
         fatal("fault injection is not supported on the SMP runner "
               "(numCores=%u): the plan's deterministic draw sequence is "
               "defined against a single FM/TM stream", n);
-    analysis::verifyParallelTuningOrFatal(cfg.tuning, cfg.core.robEntries);
     if (cfg.faults.any())
         plan_ = std::make_unique<inject::FaultPlan>(cfg.faults);
 
@@ -53,16 +52,12 @@ CoupledLoop<Tm>::CoupledLoop(const FastConfig &cfg, const char *stats_name)
             f.fm = &fm_->core(c);
         else
             f.fm = fm_.get();
-        f.tb = std::make_unique<tm::TraceBuffer>(
-            cfg.traceBufferEntries,
-            cfg.tuning.adaptive.enabled ? cfg.tuning.adaptive.maxEntries : 0);
+        f.tb = std::make_unique<tm::TraceBuffer>(cfg.traceBufferEntries);
         tbs.push_back(f.tb.get());
         f.link = std::make_unique<inject::TraceLink>(plan_.get(),
                                                      cfg.linkRetry, stats_);
         f.cmd = std::make_unique<CmdChannel>(plan_.get(), cfg.linkRetry,
                                              stats_);
-        f.sizer = std::make_unique<AdaptiveTraceSizer>(cfg.tuning.adaptive,
-                                                       stats_);
     }
     if constexpr (multi)
         core_ = std::make_unique<tm::SmpCore>(cfg.core, tbs);
@@ -232,8 +227,6 @@ CoupledLoop<Tm>::handleEvents()
             }
             if (f.cmd->apply(e, activate(f), *f.tb, stats_))
                 f.stalledWrongPath = false;
-            if (e.kind == TmEvent::Kind::Resolve)
-                f.sizer->noteEpochBoundary(e.in, *f.tb);
         }
     }
 }
@@ -275,7 +268,6 @@ CoupledLoop<Tm>::deviceTiming()
             mirror_.onDiskInjection();
         if (boot.cmd->apply(inj.toEvent(), activate(boot), *boot.tb, stats_))
             boot.stalledWrongPath = false;
-        boot.sizer->noteEpochBoundary(inj.in, *boot.tb);
     }
 }
 
@@ -411,7 +403,7 @@ CoupledLoop<Tm>::run(Cycle max_cycles)
 // carries per-level MSHR tables and the ten memory-fabric connectors,
 // and the fingerprint covers the MemConfig knobs that shape them.
 // v3: the payload carries the adaptive trace-sizer state (EWMA + current
-// ring capacity) and the fingerprint covers the ParallelTuning knobs
+// ring capacity) and the fingerprint covers the parallel-runner tuning knobs
 // that shape target-visible behaviour (epoch window, batch size and the
 // adaptive bounds are all part of the deterministic contract a resumed
 // run must reproduce).
@@ -427,6 +419,11 @@ CoupledLoop<Tm>::run(Cycle max_cycles)
 // state are per-core), and the payload carries one FM/TM/sizer section
 // per core under the same header format.  tmThreads stays out — the SMP
 // fabric's BSP schedule is thread-count-invariant too.
+// v6: the parallel runner's schedule became fixed constants and the
+// trace ring a fixed capacity, so the fingerprint drops the seven tuning
+// fields and the payload drops each core's sizer state and ring
+// capacity.  In-flight Connector tokens carry zeroed padding, so equal
+// runs write byte-identical images.
 
 std::uint64_t
 configFingerprint(const FastConfig &cfg)
@@ -453,16 +450,6 @@ configFingerprint(const FastConfig &cfg)
     s.put<std::uint32_t>(cfg.core.mem.l1dMshrs);
     s.put<std::uint32_t>(cfg.core.mem.l2Mshrs);
     s.put<Cycle>(cfg.core.mem.memServiceInterval);
-    // ParallelTuning (spinIters is deliberately excluded: it is host-side
-    // only and cannot affect target state, so snapshots stay portable
-    // across spin-bound settings).
-    s.put<std::uint32_t>(cfg.tuning.maxOutstandingEpochs);
-    s.put<std::uint32_t>(cfg.tuning.cmdBatchCommits);
-    s.put<std::uint8_t>(cfg.tuning.adaptive.enabled ? 1 : 0);
-    s.put<std::uint64_t>(cfg.tuning.adaptive.minEntries);
-    s.put<std::uint64_t>(cfg.tuning.adaptive.maxEntries);
-    s.put<std::uint32_t>(cfg.tuning.adaptive.ewmaShift);
-    s.put<std::uint32_t>(cfg.tuning.adaptive.headroomMul);
     s.put<std::uint8_t>(cfg.deterministicDevices ? 1 : 0);
     // v5: the core count shapes the payload (per-core FM/TM sections,
     // coherence directory) — a mismatched resume must be rejected.
@@ -523,10 +510,6 @@ CoupledLoop<Tm>::snapshotImage()
     core_->saveState(payload);
     engine_->save(payload);
     guardrails_.save(payload);
-    for (const Face &f : faces_) {
-        f.sizer->save(payload);
-        payload.put<std::uint64_t>(f.tb->capacity());
-    }
     mirror_.save(payload);
     // v4: BSP tuning at capture time (informational; see the history).
     payload.put<std::uint32_t>(cfg_.core.tmThreads);
@@ -617,11 +600,6 @@ CoupledLoop<Tm>::resumeFromImage(const std::vector<std::uint8_t> &bytes)
     // thread is the guardrails owner.
     guardrails_.ownerRole.assertHeld();
     guardrails_.restore(s);
-    std::vector<std::uint64_t> tb_capacity(numCores());
-    for (unsigned c = 0; c < numCores(); ++c) {
-        faces_[c].sizer->restore(s);
-        tb_capacity[c] = s.get<std::uint64_t>();
-    }
     mirror_.restore(s);
     // v4 capture-time BSP tuning: validated for shape, not matched — a
     // snapshot resumes under any tmThreads (the schedule is
@@ -636,12 +614,9 @@ CoupledLoop<Tm>::resumeFromImage(const std::vector<std::uint8_t> &bytes)
     s.require(s.atEnd(), "snapshot has trailing bytes");
 
     // The resumed boundary is quiesced: every ring is logically empty and
-    // its IN<->index mapping re-establishes on the first push.  The
-    // adaptive capacity trajectories resume where the snapshot left them.
-    for (unsigned c = 0; c < numCores(); ++c) {
-        Face &f = faces_[c];
+    // its IN<->index mapping re-establishes on the first push.
+    for (Face &f : faces_) {
         f.tb->reset();
-        f.tb->setCapacity(static_cast<std::size_t>(tb_capacity[c]));
         f.stalledWrongPath = false;
     }
     checkpointDrainPending_ = false;

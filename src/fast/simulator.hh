@@ -46,7 +46,12 @@ class SmpCore;
 }
 namespace fast {
 
-/** Full-simulator configuration. */
+/**
+ * Full-simulator configuration.  The parallel runner's schedule (epoch
+ * window, command batch, spin bound) is not configurable: it is one
+ * fixed set of constants in fast/parallel.cc (DESIGN.md §12), and the
+ * trace ring keeps traceBufferEntries for the whole run.
+ */
 struct FastConfig
 {
     tm::CoreConfig core;
@@ -101,16 +106,6 @@ struct FastConfig
     host::LinkRetryPolicy linkRetry{.jitterFrac = 0.1};
 
     /**
-     * Parallel-runner performance tuning (epoch window, command batching,
-     * spin-then-park bounds, adaptive trace-ring sizing; DESIGN.md §12).
-     * Validated at construction by both runners (fastlint FAB010); the
-     * adaptive sizing — the one knob that also affects the coupled
-     * runner — is deterministic in target time, so coupled and parallel
-     * capacity trajectories are identical.
-     */
-    ParallelTuning tuning;
-
-    /**
      * Commit-anchored device timing (CommittedDeviceMirror): device-
      * register writes take timing effect when they *commit* instead of
      * when the FM's run-ahead interprets them.  Makes timer- and disk-
@@ -155,7 +150,7 @@ struct RunResult
  * The coupled FM<->TM loop, written once over N per-core *faces* and
  * shared by every runner (DESIGN.md §16.7).  A face is one core's
  * functional model, trace buffer, drain port, trace link, command
- * channel, adaptive ring sizer and wrong-path-stall flag.  Each target
+ * channel and wrong-path-stall flag.  Each target
  * cycle the loop produces trace entries (round-robin over the faces),
  * ticks the timing model, folds the commits core-major, applies every
  * face's protocol events, runs the shared device timing against core 0
@@ -223,7 +218,7 @@ class CoupledLoop
      *  depth, plus every Connector occupancy; `runner_state` is appended. */
     std::string diagnose(const std::string &runner_state = {}) const;
 
-    // --- checkpoint / resume (snapshot format v5) --------------------------
+    // --- checkpoint / resume (snapshot format v6) --------------------------
     /** True at a clean snapshot boundary: every core drained, no device
      *  injection pending, every FM at its committed boundary.  In-flight
      *  coherence tokens (a pending ifetch miss) are legal and serialized
@@ -279,7 +274,6 @@ class CoupledLoop
         tm::CoreDrainPort *port = nullptr; //!< the core's slice of core_
         std::unique_ptr<inject::TraceLink> link;
         std::unique_ptr<CmdChannel> cmd;
-        std::unique_ptr<AdaptiveTraceSizer> sizer;
         bool stalledWrongPath = false;
         //!< N >= 2: filled by the core's commit hook, emptied by
         //!< drainCommits()

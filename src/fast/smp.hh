@@ -5,7 +5,7 @@
  * fast::SmpSimulator runs the coupled loop of simulator.hh over N >= 2
  * cores: one fm::SmpFuncModel (N speculative functional models sharing a
  * machine), one tm::SmpCore (N pipeline/L1 slices joined to a shared L2),
- * and one face — TraceBuffer + CmdChannel + TraceLink + sizer — per core.
+ * and one face — TraceBuffer + CmdChannel + TraceLink — per core.
  * The FM<->TM protocol is unchanged per core (each slice exposes the same
  * CoreDrainPort face the single-core engine drives), and the loop's fixed
  * orders carry the multi-core determinism:

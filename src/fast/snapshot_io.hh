@@ -36,9 +36,9 @@ namespace snapshot_io {
 constexpr std::uint32_t SnapshotMagic = 0x504e5346u;
 
 /** Current on-disk format version; fast/simulator.cc documents the
- *  format and its version history (v5: multi-core payloads and numCores
- *  in the config fingerprint). */
-constexpr std::uint32_t SnapshotVersion = 5;
+ *  format and its version history (v6: no parallel-runner tuning in
+ *  the fingerprint, no trace-ring sizer state in the payload). */
+constexpr std::uint32_t SnapshotVersion = 6;
 
 /** Write `bytes` to an open stream; FatalError on short write/flush
  *  failure (the caller still owns and closes the stream). */

@@ -274,16 +274,19 @@ class Connector : public ConnectorBase
      * Snapshot support for connectors that legally carry in-flight entries
      * across a quiesced boundary (the memory-fabric fill paths: an
      * outstanding miss survives a drain, exactly as the old blocking-cache
-     * busy-until scalars did).  Only instantiable for trivially copyable
-     * payloads; pipeline connectors (DynInst etc.) are empty at a
-     * boundary, so the facade serializes just their statistics groups.
+     * busy-until scalars did).  Only instantiable for payloads without
+     * padding (every byte is a value byte, so equal tokens serialize to
+     * equal bytes and snapshots are byte-reproducible; a payload type
+     * names its padding as zero-initialized members); pipeline
+     * connectors (DynInst etc.) are empty at a boundary, so the facade
+     * serializes just their statistics groups.
      */
     void
     saveState(serialize::Sink &s) const
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "connector payload must be trivially copyable to "
-                      "serialize the in-flight queue");
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "connector payload must be padding-free to "
+                      "serialize the in-flight queue byte-reproducibly");
         s.put<Cycle>(now_);
         // Lane entries are serialized as if already exchanged: a restore
         // resumes at a cycle barrier, where the lane is empty by
@@ -300,9 +303,9 @@ class Connector : public ConnectorBase
     void
     restoreState(serialize::Source &s)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "connector payload must be trivially copyable to "
-                      "serialize the in-flight queue");
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "connector payload must be padding-free to "
+                      "serialize the in-flight queue byte-reproducibly");
         now_ = s.get<Cycle>();
         q_.clear();
         lane_.clear();

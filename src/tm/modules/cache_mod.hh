@@ -50,7 +50,7 @@ namespace fastsim {
 namespace tm {
 namespace modules {
 
-/** A miss request travelling down the hierarchy (trivially copyable so
+/** A miss request travelling down the hierarchy (padding-free so
  *  in-flight entries can ride through a snapshot).  The SMP fields
  *  default to zero so single-core traffic is unchanged. */
 struct MemReq
@@ -59,6 +59,7 @@ struct MemReq
     std::uint8_t core = 0; //!< requesting core (SMP shared-L2 traffic)
     std::uint8_t port = 0; //!< 0 = instruction side, 1 = data side
     std::uint8_t kind = 0; //!< 0 = read, 1 = write / write-notice
+    std::uint8_t pad = 0;  //!< explicit zeroed padding (snapshot bytes)
 };
 
 /** A fill travelling back up; the fill time rides on the Connector entry's
@@ -67,6 +68,7 @@ struct MemFill
 {
     PAddr pa = 0;
     std::uint8_t port = 0; //!< routes an SMP fill to the right L1
+    std::uint8_t pad[3] = {}; //!< explicit zeroed padding (snapshot bytes)
 };
 
 /** One request/fill Connector pair joining two adjacent levels. */

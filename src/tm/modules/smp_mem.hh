@@ -55,6 +55,7 @@ struct SnoopMsg
 {
     PAddr pa = 0;
     std::uint8_t reason = 0; //!< 0 = remote write, 1 = dirty-read service
+    std::uint8_t pad[3] = {}; //!< explicit zeroed padding (snapshot bytes)
 };
 
 /**

@@ -58,42 +58,17 @@ namespace tm {
 class TraceBuffer
 {
   public:
-    /**
-     * @param capacity      initial logical capacity (exact, not rounded)
-     * @param max_capacity  upper bound setCapacity() may grow to; the
-     *                      physical ring is preallocated to cover it
-     *                      (0: fixed capacity, no adaptive headroom)
-     */
-    explicit TraceBuffer(std::size_t capacity, std::size_t max_capacity = 0)
-        : capacity_(capacity)
+    /** @param capacity  logical capacity (exact, not rounded; the
+     *                   physical ring is the next power of two) */
+    explicit TraceBuffer(std::size_t capacity) : capacity_(capacity)
     {
         fastsim_assert(capacity > 0);
         std::size_t phys = 1;
-        while (phys < capacity || phys < max_capacity)
+        while (phys < capacity)
             phys <<= 1;
         ring_.resize(phys);
         mask_ = phys - 1;
     }
-
-    /**
-     * Adaptive resizing (DESIGN.md §12.3): change the *logical* capacity
-     * within the preallocated physical ring.  Producer-side only — it
-     * moves the full() threshold, never the indices — so it is legal
-     * whenever push() is (single-threaded, or on the FM thread; the
-     * parallel runner resizes while applying a resteer, before releasing
-     * the ack the TM's tick gate acquires).  Shrinking below the current
-     * occupancy is safe: full() simply holds until commits release
-     * entries.
-     */
-    void
-    setCapacity(std::size_t capacity)
-    {
-        fastsim_assert(capacity > 0 && capacity <= ring_.size());
-        capacity_.store(capacity, std::memory_order_relaxed);
-    }
-
-    /** Largest capacity setCapacity() accepts (physical ring size). */
-    std::size_t maxCapacity() const { return ring_.size(); }
 
     // --- write side (functional model) -----------------------------------
     bool
@@ -101,7 +76,7 @@ class TraceBuffer
     {
         return writeIdx_.load(std::memory_order_relaxed) -
                    freeIdx_.load(std::memory_order_relaxed) >=
-               capacity_.load(std::memory_order_relaxed);
+               capacity_;
     }
 
     void
@@ -229,11 +204,7 @@ class TraceBuffer
         return w > f ? static_cast<std::size_t>(w - f) : 0;
     }
 
-    std::size_t
-    capacity() const
-    {
-        return capacity_.load(std::memory_order_relaxed);
-    }
+    std::size_t capacity() const { return capacity_; }
     bool empty() const { return size() == 0; }
 
     /** Forget all contents and the IN<->index mapping (snapshot resume;
@@ -261,9 +232,7 @@ class TraceBuffer
     }
 
   private:
-    //! logical capacity (exact, not rounded); atomic so the adaptive
-    //! sizer's producer-side store never tears against consumer reads
-    std::atomic<std::size_t> capacity_;
+    const std::size_t capacity_; //!< logical capacity (exact, not rounded)
     std::uint64_t mask_;
     std::vector<fm::TraceEntry> ring_;
 

@@ -601,101 +601,6 @@ TEST(Verify, DefaultCoreFullyClean)
     EXPECT_FALSE(r.hasErrors()) << r.text();
 }
 
-// --- FAB010: parallel tuning validation -----------------------------------
-
-TEST(ConfigLint, Fab010DefaultTuningIsClean)
-{
-    Report r;
-    lintParallelTuning(fast::ParallelTuning{}, 64, r);
-    EXPECT_FALSE(r.hasErrors()) << r.text();
-}
-
-TEST(ConfigLint, Fab010FiresOnZeroEpochWindow)
-{
-    fast::ParallelTuning t;
-    t.maxOutstandingEpochs = 0;
-    Report r;
-    lintParallelTuning(t, 64, r);
-    EXPECT_TRUE(r.has("FAB010"));
-}
-
-TEST(ConfigLint, Fab010FiresOnZeroCommitBatch)
-{
-    fast::ParallelTuning t;
-    t.cmdBatchCommits = 0;
-    Report r;
-    lintParallelTuning(t, 64, r);
-    EXPECT_TRUE(r.has("FAB010"));
-}
-
-TEST(ConfigLint, Fab010FiresOnNonPow2AdaptiveBounds)
-{
-    fast::ParallelTuning t;
-    t.adaptive.enabled = true;
-    t.adaptive.minEntries = 300;  // not a power of two
-    t.adaptive.maxEntries = 1000; // not a power of two
-    Report r;
-    lintParallelTuning(t, 64, r);
-    EXPECT_TRUE(r.has("FAB010"));
-    EXPECT_GE(r.errorCount(), 2u);
-}
-
-TEST(ConfigLint, Fab010FiresOnInvertedAdaptiveBounds)
-{
-    fast::ParallelTuning t;
-    t.adaptive.enabled = true;
-    t.adaptive.minEntries = 4096;
-    t.adaptive.maxEntries = 512;
-    Report r;
-    lintParallelTuning(t, 64, r);
-    EXPECT_TRUE(r.has("FAB010"));
-}
-
-TEST(ConfigLint, Fab010FiresWhenFloorBelowTwiceRob)
-{
-    fast::ParallelTuning t;
-    t.adaptive.enabled = true;
-    t.adaptive.minEntries = 64; // pow2 but < 2 * robEntries(64)
-    Report r;
-    lintParallelTuning(t, 64, r);
-    EXPECT_TRUE(r.has("FAB010"));
-}
-
-TEST(ConfigLint, Fab010FiresOnDegenerateEwmaAndHeadroom)
-{
-    fast::ParallelTuning t;
-    t.adaptive.enabled = true;
-    t.adaptive.ewmaShift = 17;
-    t.adaptive.headroomMul = 0;
-    Report r;
-    lintParallelTuning(t, 64, r);
-    EXPECT_TRUE(r.has("FAB010"));
-    EXPECT_GE(r.errorCount(), 2u);
-}
-
-TEST(ConfigLint, Fab010SilentWhenAdaptiveDisabled)
-{
-    fast::ParallelTuning t; // adaptive off: its bounds are inert
-    t.adaptive.minEntries = 300;
-    Report r;
-    lintParallelTuning(t, 64, r);
-    EXPECT_FALSE(r.hasErrors()) << r.text();
-}
-
-TEST(ConfigLint, RunnersRejectInvalidTuningAtConstruction)
-{
-    fast::FastConfig cfg;
-    cfg.fm.ramBytes = kernel::MemoryMap::RamBytes;
-    cfg.tuning.maxOutstandingEpochs = 0;
-    EXPECT_THROW(fast::FastSimulator sim(cfg), FatalError);
-    EXPECT_THROW(fast::ParallelFastSimulator sim(cfg), FatalError);
-
-    cfg.tuning.maxOutstandingEpochs = 4;
-    cfg.tuning.adaptive.enabled = true;
-    cfg.tuning.adaptive.minEntries = 64; // below 2 * robEntries
-    EXPECT_THROW(fast::FastSimulator sim(cfg), FatalError);
-}
-
 TEST(Verify, CostPassFlagsTinyDevice)
 {
     // The default core cannot fit the small Virtex-II Pro 30 (the paper's
@@ -809,8 +714,7 @@ TEST(Catalog, CoversEveryPassFamily)
     }
     const char *expected[] = {
         "FAB001", "FAB002", "FAB003", "FAB004",  "FAB005",  "FAB006",
-        "FAB007", "FAB008", "FAB009", "FAB010",  "FAB011",  "FAB012",
-        "FAB013",
+        "FAB007", "FAB008", "FAB009", "FAB011",  "FAB012",  "FAB013",
         "COD001", "COD002", "COD003", "COD004",  "COD005",  "COD006",
         "COD007", "DET001", "DET002", "DET003",  "DET004",  "DET005",
         "DET006", "PROT001", "PROT002", "PROT003", "PROT004",
@@ -828,6 +732,7 @@ TEST(Catalog, IsKnownDiagnosticValidatesSuppressIds)
     EXPECT_TRUE(isKnownDiagnostic("DET006"));
     EXPECT_TRUE(isKnownDiagnostic("PROT004"));
     EXPECT_FALSE(isKnownDiagnostic("PROT005"));
+    EXPECT_FALSE(isKnownDiagnostic("FAB010")); // retired, never reused
     EXPECT_FALSE(isKnownDiagnostic("FAB999"));
     EXPECT_FALSE(isKnownDiagnostic(""));
     EXPECT_FALSE(isKnownDiagnostic("fab001")); // IDs are case-sensitive
@@ -849,7 +754,7 @@ TEST(Catalog, JsonDocumentCarriesStableSchema)
     passes = {fabric, protocol};
 
     const std::string doc = jsonDocument(r, passes);
-    EXPECT_NE(doc.find("\"catalog_version\":9"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"catalog_version\":10"), std::string::npos) << doc;
     EXPECT_NE(doc.find("\"passes\":[{\"name\":\"fabric\",\"runtime_us\":120,"
                        "\"findings\":1},{\"name\":\"protocol\","
                        "\"runtime_us\":52000,\"findings\":0}]"),

@@ -656,23 +656,19 @@ TEST(RunnerBsp, ParallelAndEpochPipelinedParity)
     ASSERT_TRUE(rr.finished);
 
     for (const unsigned threads : {2u, 4u}) {
-        for (const unsigned epochs : {1u, 4u}) {
-            fast::FastConfig cfg = ref_cfg;
-            cfg.core.tmThreads = threads;
-            cfg.tuning.maxOutstandingEpochs = epochs;
-            fast::ParallelFastSimulator par(cfg);
-            par.boot(image);
-            auto pr = par.run(MaxCycles);
-            ASSERT_TRUE(pr.finished)
-                << "tmThreads=" << threads << " epochs=" << epochs;
-            EXPECT_FALSE(par.degraded());
-            EXPECT_EQ(static_cast<std::uint64_t>(pr.cycles),
-                      static_cast<std::uint64_t>(rr.cycles))
-                << "tmThreads=" << threads << " epochs=" << epochs;
-            EXPECT_EQ(pr.insts, rr.insts);
-            EXPECT_EQ(par.commitHash(), ref.commitHash())
-                << "tmThreads=" << threads << " epochs=" << epochs;
-        }
+        fast::FastConfig cfg = ref_cfg;
+        cfg.core.tmThreads = threads;
+        fast::ParallelFastSimulator par(cfg);
+        par.boot(image);
+        auto pr = par.run(MaxCycles);
+        ASSERT_TRUE(pr.finished) << "tmThreads=" << threads;
+        EXPECT_FALSE(par.degraded());
+        EXPECT_EQ(static_cast<std::uint64_t>(pr.cycles),
+                  static_cast<std::uint64_t>(rr.cycles))
+            << "tmThreads=" << threads;
+        EXPECT_EQ(pr.insts, rr.insts);
+        EXPECT_EQ(par.commitHash(), ref.commitHash())
+            << "tmThreads=" << threads;
     }
 }
 

@@ -26,6 +26,7 @@
 #include "base/serialize.hh"
 #include "fast/simulator.hh"
 #include "fast/smp.hh"
+#include "fast/snapshot_io.hh"
 #include "kernel/boot.hh"
 #include "tm/modules/mem_mod.hh"
 #include "workloads/service.hh"
@@ -439,6 +440,34 @@ TEST_P(SnapshotRejection, ConfigMismatchRejected)
     other.traceBufferEntries = 128; // fingerprint-relevant difference
     expectRejected(other, p);
     std::remove(p.c_str());
+}
+
+/** An image of another format version — here v5, whose fingerprint
+ *  covered the parallel-runner tuning and whose payload carried a
+ *  trace-ring sizer section per core — is refused by its version word
+ *  before anything else is parsed. */
+TEST_P(SnapshotRejection, UnsupportedVersionRejected)
+{
+    const std::string p = path("version");
+    writeSnapshot(p);
+    std::vector<std::uint8_t> bytes = fast::snapshot_io::readFile(p);
+    std::remove(p.c_str());
+
+    // Header: u32 magic, then the u32 version word (little-endian).
+    ASSERT_GE(bytes.size(), 32u);
+    ASSERT_EQ(bytes[4], fast::snapshot_io::SnapshotVersion);
+    bytes[4] = 5;
+    std::string what;
+    withRunner(config(p), [&](auto &sim) {
+        sim.boot(image());
+        try {
+            sim.resumeFromImage(bytes);
+        } catch (const FatalError &e) {
+            what = e.what();
+        }
+    });
+    EXPECT_NE(what.find("unsupported snapshot version"), std::string::npos)
+        << "got: '" << what << "'";
 }
 
 /** The capture-time BSP record (tmThreads, partitions) is provenance, but

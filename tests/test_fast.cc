@@ -355,12 +355,12 @@ TEST(FastSim, BenchmarkCounterNamesAreServed)
                  {"fm_halted_polls", "fm_stall_tb_full", "wrong_path_resteers",
                   "resolve_resteers", "timer_interrupts", "disk_completions"});
 
-    // Epoch window, command batching and a short spin budget, so the
-    // hold ticks, batches and parks all happen.
+    // The shipped schedule holds ticks and batches commits on its own;
+    // seeded FM production stalls outlast the TM's spin, so it parks.
     FastConfig pc = cfg;
-    pc.tuning.maxOutstandingEpochs = 4;
-    pc.tuning.cmdBatchCommits = 16;
-    pc.tuning.spinIters = 16;
+    pc.faults.seed = 7;
+    pc.faults.window = 5000;
+    pc.faults.enableClass(inject::FaultClass::FmStall);
     ParallelFastSimulator parallel(pc);
     parallel.boot(image);
     ASSERT_TRUE(parallel.run(200000000).finished);

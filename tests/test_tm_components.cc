@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <new>
+#include <vector>
+
 #include "base/random.hh"
+#include "base/serialize.hh"
 #include "tm/branch_pred.hh"
 #include "tm/cache.hh"
 #include "tm/connector.hh"
 #include "tm/modules/mem_mod.hh"
+#include "tm/modules/smp_mem.hh"
 #include "tm/primitives.hh"
 #include "tm/trace_buffer.hh"
 
@@ -174,6 +180,38 @@ TEST(Connector, RandomizedContractProperty)
         }
         EXPECT_EQ(popped + static_cast<int>(c.size()), pushed);
     }
+}
+
+/** Serialize a token that `make` builds in memory pre-filled with
+ *  `garbage` (guaranteed copy elision: built in place, as a producer's
+ *  `push(SnoopMsg{pa, reason})` builds it), the way
+ *  Connector::saveState writes each in-flight token. */
+template <typename T, typename Make>
+std::vector<std::uint8_t>
+savedToken(unsigned char garbage, Make &&make)
+{
+    alignas(T) unsigned char buf[sizeof(T)];
+    std::memset(buf, garbage, sizeof(buf));
+    const T *token = new (buf) T(make());
+    serialize::Sink s;
+    s.put<T>(*token);
+    return s.data();
+}
+
+/** Snapshot bytes of in-flight tokens depend only on their values: equal
+ *  tokens built over 0xAA and over 0x55 garbage save identically, so no
+ *  uninitialised padding byte reaches a snapshot image. */
+TEST(Connector, SavedTokensAreByteReproducible)
+{
+    auto snoop = [] { return modules::SnoopMsg{0x1240, 1}; };
+    EXPECT_EQ(savedToken<modules::SnoopMsg>(0xAA, snoop),
+              savedToken<modules::SnoopMsg>(0x55, snoop));
+    auto req = [] { return modules::MemReq{0x2000, 1, 1, 1}; };
+    EXPECT_EQ(savedToken<modules::MemReq>(0xAA, req),
+              savedToken<modules::MemReq>(0x55, req));
+    auto fill = [] { return modules::MemFill{0x3000, 1}; };
+    EXPECT_EQ(savedToken<modules::MemFill>(0xAA, fill),
+              savedToken<modules::MemFill>(0x55, fill));
 }
 
 // --- primitives ----------------------------------------------------------------

@@ -300,12 +300,6 @@ main(int argc, char **argv)
                 analysis::verify(reg, cfg,
                                  smp ? smp->fpgaCost() : core.fpgaCost(),
                                  o, report);
-                // FAB010: the runner constructors reject these
-                // unconditionally; here the default tuning is checked
-                // against the chosen core so a CLI sweep surfaces e.g. an
-                // adaptive floor below 2x the ROB.
-                analysis::lintParallelTuning(fast::ParallelTuning{},
-                                             cfg.robEntries, report);
             });
         if (do_cost)
             timedPass("cost", [&] {
