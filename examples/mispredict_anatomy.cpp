@@ -81,7 +81,7 @@ main()
            sim.core().cycle() < 500000000) {
         const Cycle c = sim.core().cycle();
         const InstNum fm_ahead = sim.fm().nextIn();
-        const InstNum tm_fetch = sim.core().nextFetchIn();
+        const InstNum tm_fetch = sim.core().slice().nextFetchIn();
         sim.tickOnce();
         const std::uint64_t wp = sim.stats().value("wrong_path_resteers");
         const std::uint64_t rs = sim.stats().value("resolve_resteers");

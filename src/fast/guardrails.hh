@@ -36,8 +36,8 @@ class ProtocolEngine;
 
 /**
  * What the guardrails read of one core: its functional model and trace
- * ring plus the timing slice's protocol state (tm::Core::sliceState /
- * tm::SmpCore::sliceState).  The coupled loop builds one per core.
+ * ring plus its pipeline slice's protocol state (tm::CoreSlice::state).
+ * The coupled loop builds one per core.
  */
 struct CoreView
 {

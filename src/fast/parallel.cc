@@ -24,6 +24,11 @@ static_assert(EpochWindow == analysis::ProtocolModelConfig{}.epochWindow,
 /** Cumulative Commit events coalesced into one TM->FM command. */
 constexpr unsigned CommitBatch = 16;
 
+/** Instructions the FM thread interprets per event-ring poll.  Batching
+ *  amortizes the per-instruction check; the resteer rendezvous bounds the
+ *  damage of running ahead, since wrong-path work is rolled back anyway. */
+constexpr unsigned FmBatchInsts = 64;
+
 /** Fruitless polls before a waiting TM parks on the condition variable. */
 constexpr unsigned SpinIters = 2048;
 
@@ -227,7 +232,6 @@ void
 ParallelFastSimulator::fmThreadMain()
 {
     events_.consumerRole.assertHeld(); // this thread consumes TM events
-    const unsigned batch = cfg_.fmBatchInsts ? cfg_.fmBatchInsts : 1;
     while (!stop_.load(std::memory_order_acquire)) {
         // Apply protocol messages in order.
         TmEvent e;
@@ -262,7 +266,7 @@ ParallelFastSimulator::fmThreadMain()
         // ack within ~one interpreted instruction.
         bool produced = false;
         bool halted = false;
-        for (unsigned n = 0; n < batch; ++n) {
+        for (unsigned n = 0; n < FmBatchInsts; ++n) {
             if (!events_.empty())
                 break;
             if (tb_.full())
@@ -345,7 +349,7 @@ ParallelFastSimulator::relayTickEvents()
     // are coalesced (see flushCommitBatch); the batch is flushed before
     // any resteer-class push so the FM applies events in exactly the
     // order the coupled runner would.
-    for (const TmEvent &e : core_->drainEvents()) {
+    for (const TmEvent &e : core_->slice().drainEvents()) {
         switch (e.kind) {
           case TmEvent::Kind::WrongPath:
           case TmEvent::Kind::Resolve:
@@ -388,9 +392,10 @@ ParallelFastSimulator::holdTickSafe() const
     // in-flight count, and holding stops once the epoch window is full.
     const std::uint64_t inflight =
         resteersIssued_ - resteersApplied_.load(std::memory_order_acquire);
-    return inflight < EpochWindow && core_->drainForMispredict() &&
-           core_->robInsts() > core_->commitWidth() &&
-           !core_->robHasException();
+    const tm::CoreSlice &slice = core_->slice();
+    return inflight < EpochWindow && slice.state().drainForMispredict &&
+           slice.state().rob.size() > core_->commitWidth() &&
+           !slice.robHasException();
 }
 
 void
@@ -433,8 +438,8 @@ ParallelFastSimulator::finishedTm() const
 {
     events_.producerRole.assertHeld(); // TM-side view of the ring
     return guestFinished_.load(std::memory_order_acquire) &&
-           events_.drained() && tb_.unfetched() == 0 && core_->drained() &&
-           !resteerPending() &&
+           events_.drained() && tb_.unfetched() == 0 &&
+           core_->slice().drained() && !resteerPending() &&
            injectsApplied_.load(std::memory_order_acquire) == injectsIssued_;
 }
 
@@ -531,7 +536,7 @@ ParallelFastSimulator::tmThreadMain(Cycle max_cycles)
             (commitsQuiesced && tb_.full()) ||
             fmStalledWrongPath_.load(std::memory_order_acquire) ||
             (fmHalted_.load(std::memory_order_acquire) &&
-             (unfetched > 0 || !core_->drained() ||
+             (unfetched > 0 || !core_->slice().drained() ||
               fmIdleWaiting_.load(std::memory_order_acquire))) ||
             injectsApplied_.load(std::memory_order_acquire) != injectsIssued_;
         if (!can_tick) {

@@ -21,7 +21,7 @@
  *    (base/spsc_ring.hh); Commit events are *applied on the FM thread*,
  *    which is what keeps both trace-buffer producer-side indices single-
  *    writer;
- *  - the FM interprets up to FastConfig::fmBatchInsts instructions per
+ *  - the FM interprets up to FmBatchInsts (64) instructions per
  *    event-ring poll instead of taking a mutex per instruction;
  *  - resteer-class events (WrongPath / Resolve / InjectTimer /
  *    InjectDisk) are the one multi-writer moment: applying them rewinds
@@ -33,7 +33,8 @@
  *    within ~one interpreted instruction.
  *
  * Performance machinery (DESIGN.md §12), one fixed schedule — the
- * constants EpochWindow, CommitBatch and SpinIters in parallel.cc:
+ * constants EpochWindow, CommitBatch, FmBatchInsts and SpinIters in
+ * parallel.cc:
  *
  *  - *epoch pipelining*: with up to EpochWindow (2) resteers in flight
  *    the TM does not idle for the whole resteer round trip — while the

@@ -167,9 +167,8 @@ struct Injection
 class ProtocolEngine
 {
   public:
-    /** `core` is the drain/resteer face of the TM this engine paces:
-     *  the single-core tm::Core, or one per-core slice of the SMP
-     *  fabric (tm/smp_core.hh). */
+    /** `core` is the drain/resteer face of the TM core this engine
+     *  paces: its pipeline slice (tm/core_slice.hh). */
     ProtocolEngine(tm::CoreDrainPort &core, Cycle disk_latency_cycles)
         : core_(core), diskLatency_(disk_latency_cycles)
     {

@@ -14,6 +14,14 @@ namespace fast {
 using fm::StepResult;
 using tm::TmEvent;
 
+namespace {
+/** Retry schedule of every trace link and command channel under injected
+ *  transport faults.  Jitter is on: the charged retry-ns are host-side
+ *  stats (never target time), so the seeded jitter cannot perturb timing —
+ *  it only decorrelates the modeled retransmission schedule. */
+constexpr host::LinkRetryPolicy LinkRetry{.jitterFrac = 0.1};
+} // namespace
+
 template <typename Tm>
 CoupledLoop<Tm>::CoupledLoop(const FastConfig &cfg, const char *stats_name)
     : cfg_(cfg), stats_(stats_name), guardrails_(cfg.guardrails, stats_)
@@ -55,9 +63,8 @@ CoupledLoop<Tm>::CoupledLoop(const FastConfig &cfg, const char *stats_name)
         f.tb = std::make_unique<tm::TraceBuffer>(cfg.traceBufferEntries);
         tbs.push_back(f.tb.get());
         f.link = std::make_unique<inject::TraceLink>(plan_.get(),
-                                                     cfg.linkRetry, stats_);
-        f.cmd = std::make_unique<CmdChannel>(plan_.get(), cfg.linkRetry,
-                                             stats_);
+                                                     LinkRetry, stats_);
+        f.cmd = std::make_unique<CmdChannel>(plan_.get(), LinkRetry, stats_);
     }
     if constexpr (multi)
         core_ = std::make_unique<tm::SmpCore>(cfg.core, tbs);
@@ -65,12 +72,16 @@ CoupledLoop<Tm>::CoupledLoop(const FastConfig &cfg, const char *stats_name)
         core_ = std::make_unique<tm::Core>(cfg.core, *tbs[0]);
     if (cfg.verifyFabric)
         analysis::verifyFabricOrFatal(core_->registry(), cfg.core);
-    for (unsigned c = 0; c < n; ++c)
-        faces_[c].port = &core_->drainPort(c);
+    for (unsigned c = 0; c < n; ++c) {
+        if constexpr (multi)
+            faces_[c].slice = &core_->slice(c);
+        else
+            faces_[c].slice = &core_->slice();
+    }
 
     // One engine, bound to core 0's drain port: the shared platform
     // devices interrupt the boot core only (DESIGN.md §16.1).
-    engine_ = std::make_unique<ProtocolEngine>(*faces_[0].port,
+    engine_ = std::make_unique<ProtocolEngine>(*faces_[0].slice,
                                                cfg.diskLatencyCycles);
     boundaryOk_ = [this](InstNum in) {
         return faces_[0].fm->lastCommitted() + 1 == in;
@@ -88,14 +99,14 @@ CoupledLoop<Tm>::CoupledLoop(const FastConfig &cfg, const char *stats_name)
     // thread waits out the tick, so its hook folds each commit directly.
     if constexpr (multi) {
         for (unsigned c = 0; c < n; ++c)
-            core_->setOnCommit(c, [this, c](const fm::TraceEntry &e) {
+            faces_[c].slice->onCommit = [this, c](const fm::TraceEntry &e) {
                 faces_[c].commits.push_back(e);
-            });
+            };
     } else if (cfg.guardrails.hashCommits || cfg.deterministicDevices) {
-        core_->setOnCommit(0, [this](const fm::TraceEntry &e) {
+        faces_[0].slice->onCommit = [this](const fm::TraceEntry &e) {
             guardrails_.ownerRole.assertHeld(); // the ticking thread
             observeCommit(0, e);
-        });
+        };
     }
 }
 
@@ -204,7 +215,7 @@ CoupledLoop<Tm>::handleEvents()
     for (unsigned c = 0; c < n; ++c) {
         Face &f = faces_[c];
         f.cmd->ownerRole.assertHeld(); // this thread owns every channel
-        for (const TmEvent &e : core_->drainEvents(c)) {
+        for (const TmEvent &e : f.slice->drainEvents()) {
             if (onEvent)
                 onEvent(e);
             if (e.kind == TmEvent::Kind::WrongPath && n > 1) {
@@ -276,10 +287,14 @@ std::vector<CoreView>
 CoupledLoop<Tm>::coreViews() const
 {
     std::vector<CoreView> v;
-    for (unsigned c = 0; c < numCores(); ++c)
-        v.push_back({*faces_[c].fm, *faces_[c].tb, core_->sliceState(c),
-                     core_->sliceDrained(c),
-                     core_->coherenceTokensInFlight(c)});
+    for (unsigned c = 0; c < numCores(); ++c) {
+        const Face &f = faces_[c];
+        std::size_t tokens = 0; // one core's fill walk is synchronous
+        if constexpr (std::is_same_v<Tm, tm::SmpCore>)
+            tokens = core_->coherenceTokensInFlight(c);
+        v.push_back({*f.fm, *f.tb, f.slice->state(), f.slice->drained(),
+                     tokens});
+    }
     return v;
 }
 
@@ -333,7 +348,7 @@ CoupledLoop<Tm>::finished() const
     for (unsigned c = 0; c < numCores(); ++c) {
         const fm::FuncModel &f = *faces_[c].fm;
         if (!f.halted() || (f.state().flags & isa::FlagI) ||
-            faces_[c].tb->unfetched() != 0 || !core_->sliceDrained(c))
+            faces_[c].tb->unfetched() != 0 || !faces_[c].slice->drained())
             return false;
     }
     return true;
@@ -357,7 +372,7 @@ CoupledLoop<Tm>::run(Cycle max_cycles)
             // consume an earlier request (noteResteer clears it).
             checkpointDrainPending_ = true;
             for (Face &f : faces_)
-                f.port->requestDrain();
+                f.slice->requestDrain();
         }
         if (checkpointDrainPending_ && checkpointReady()) {
             // Count before saving so the snapshot itself carries the
@@ -466,7 +481,7 @@ CoupledLoop<Tm>::checkpointReady() const
     for (unsigned c = 0; c < numCores(); ++c) {
         const Face &f = faces_[c];
         if (f.stalledWrongPath ||
-            f.fm->lastCommitted() + 1 != core_->sliceState(c).nextFetchIn)
+            f.fm->lastCommitted() + 1 != f.slice->nextFetchIn())
             return false;
     }
     return true;
@@ -490,11 +505,11 @@ CoupledLoop<Tm>::quiesceToBoundary()
                 fatal("checkpoint: core %u trace-buffer rewind to IN %llu "
                       "failed", c,
                       static_cast<unsigned long long>(m.nextIn()));
-            f.port->noteResteer();
+            f.slice->noteResteer();
         } else {
             // Nothing to roll back: consume the drain request without an
             // epoch bump (an unpaired bump would desynchronize the epochs).
-            core_->clearDrainRequest(c);
+            f.slice->clearDrainRequest();
         }
     }
 }
@@ -555,7 +570,7 @@ CoupledLoop<Tm>::checkpointNow(const std::string &path, Cycle max_extra_cycles)
     const Cycle bound = core_->cycle() + max_extra_cycles;
     while (!checkpointReady() && !finished() && core_->cycle() < bound) {
         for (Face &f : faces_)
-            f.port->requestDrain();
+            f.slice->requestDrain();
         tickOnce();
     }
     if (!checkpointReady())

@@ -48,9 +48,10 @@ namespace fast {
 
 /**
  * Full-simulator configuration.  The parallel runner's schedule (epoch
- * window, command batch, spin bound) is not configurable: it is one
- * fixed set of constants in fast/parallel.cc (DESIGN.md §12), and the
- * trace ring keeps traceBufferEntries for the whole run.
+ * window, command batch, FM batch, spin bound) is not configurable: it is
+ * one fixed set of constants in fast/parallel.cc (DESIGN.md §12), and the
+ * trace ring keeps traceBufferEntries for the whole run.  Neither is the
+ * FM<->TM link retry schedule (fast/simulator.cc).
  */
 struct FastConfig
 {
@@ -77,14 +78,6 @@ struct FastConfig
     Cycle diskLatencyCycles = 5000;
 
     /**
-     * Parallel runner only: instructions the FM thread interprets per
-     * synchronization check (event-ring poll).  Batching amortizes the
-     * per-instruction check; the resteer rendezvous bounds the damage of
-     * running ahead since wrong-path work is rolled back anyway.
-     */
-    unsigned fmBatchInsts = 64;
-
-    /**
      * Fail fast on a structurally broken Module/Connector fabric: the
      * constructor runs the fastlint fabric pass (src/analysis) and throws
      * FatalError on any error — e.g. a zero-latency Connector cycle or a
@@ -98,12 +91,6 @@ struct FastConfig
 
     /** Runtime guardrails: watchdog, cross-checks, commit-hash chain. */
     GuardrailConfig guardrails;
-
-    /** FM<->TM link retry behaviour under injected transport faults.
-     *  Jitter is on by default: the charged retry-ns are host-side stats
-     *  (never target time), so the seeded jitter cannot perturb timing —
-     *  it only decorrelates the modeled retransmission schedule. */
-    host::LinkRetryPolicy linkRetry{.jitterFrac = 0.1};
 
     /**
      * Commit-anchored device timing (CommittedDeviceMirror): device-
@@ -157,10 +144,11 @@ struct RunResult
  * and polls the guardrails.
  *
  * Tm is tm::Core (one core) or tm::SmpCore (N >= 2 cores sharing memory
- * and an L2); both expose the same per-core accessor set, so the loop
- * needs no virtual call per FM step or TM tick.  The core count selects
- * the one protocol difference: a single core executes down wrong paths,
- * N cores suppress them (DESIGN.md §16.4).
+ * and an L2); both are built from the same tm::CoreSlice per core, and
+ * each face holds its core's slice, so the loop needs no virtual call per
+ * FM step or TM tick.  The core count selects the one protocol
+ * difference: a single core executes down wrong paths, N cores suppress
+ * them (DESIGN.md §16.4).
  *
  * Not a runner on its own: FastSimulator (N = 1) and SmpSimulator
  * (smp.hh, N >= 2) are its public faces, and ParallelFastSimulator
@@ -271,7 +259,7 @@ class CoupledLoop
     {
         fm::FuncModel *fm = nullptr; //!< owned by fm_
         std::unique_ptr<tm::TraceBuffer> tb;
-        tm::CoreDrainPort *port = nullptr; //!< the core's slice of core_
+        tm::CoreSlice *slice = nullptr; //!< the core's pipeline in core_
         std::unique_ptr<inject::TraceLink> link;
         std::unique_ptr<CmdChannel> cmd;
         bool stalledWrongPath = false;

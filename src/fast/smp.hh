@@ -4,10 +4,11 @@
  *
  * fast::SmpSimulator runs the coupled loop of simulator.hh over N >= 2
  * cores: one fm::SmpFuncModel (N speculative functional models sharing a
- * machine), one tm::SmpCore (N pipeline/L1 slices joined to a shared L2),
- * and one face — TraceBuffer + CmdChannel + TraceLink — per core.
- * The FM<->TM protocol is unchanged per core (each slice exposes the same
- * CoreDrainPort face the single-core engine drives), and the loop's fixed
+ * machine), one tm::SmpCore (N tm::CoreSlice pipelines, the same one
+ * tm::Core holds, with their L1s joined to a shared L2), and one face —
+ * TraceBuffer + CmdChannel + TraceLink — per core.  The FM<->TM protocol
+ * is unchanged per core (each slice is the CoreDrainPort the single-core
+ * engine drives), and the loop's fixed
  * orders carry the multi-core determinism:
  *
  *  - produceEntries() steps the functional models in a deterministic

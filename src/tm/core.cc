@@ -8,52 +8,32 @@ namespace tm {
 Core::~Core() = default;
 
 Core::Core(const CoreConfig &cfg, TraceBuffer &tb)
-    : cfg_(cfg), tb_(tb), bp_(makeBranchPredictor(cfg.bp)),
-      memh_(cfg_),
-      itlbM_("itlb", cfg.itlbEntries, cfg.tlbMissPenalty),
-      state_(cfg_, resolveTopology(cfg_)),
-      commitM_(cfg_, state_, tb_),
-      writebackM_(cfg_, state_),
-      issueExecM_(cfg_, state_, memh_.l1d, memh_.fx),
-      dispatchM_(cfg_, state_),
-      fetchM_(cfg_, state_, tb_, *bp_, memh_.l1i, itlbM_, memh_.fx),
-      stats_("core"),
-      sIcache_("icache_hit_rate"), sBp_("bp_accuracy"),
+    : cfg_(cfg), memh_(cfg_),
+      slice_(cfg_, tb, memh_.fx, "",
+             [this](modules::CoreState &) {
+                 return CoreSlice::L1Ports{memh_.l1i, memh_.l1d};
+             }),
+      stats_("core"), sIcache_("icache_hit_rate"), sBp_("bp_accuracy"),
       sDrain_("pipe_drain_pct")
 {
-    state_.onCommit = &onCommit;
-
-    // Deterministic tick order: oldest stage first, so an instruction
-    // takes at least one target cycle per stage (the classic reverse
-    // pipeline evaluation).  The memory modules tick after the stages
-    // that access them, so host cycles charged during stage ticks are
-    // collected in the same tickAll() pass.
-    registry_.add(commitM_);
-    registry_.add(writebackM_);
-    registry_.add(issueExecM_);
-    registry_.add(dispatchM_);
-    registry_.add(fetchM_);
+    // Deterministic tick order: oldest stage first, then the memory
+    // modules after the stages that access them, so host cycles charged
+    // during stage ticks are collected in the same tickAll() pass.
+    slice_.addStages(registry_);
     registry_.add(memh_.l1i);
     registry_.add(memh_.l1d);
     registry_.add(memh_.l2);
     registry_.add(memh_.mem);
-    registry_.add(itlbM_);
-    registry_.noteConnector(state_.fetchToDispatch);
-    registry_.noteConnector(state_.dispatchToIssue);
-    registry_.noteConnector(state_.execToWriteback);
-    registry_.noteConnector(state_.writebackToCommit);
-    registry_.noteConnector(state_.commitToFetch);
+    registry_.add(slice_.itlb());
+    slice_.noteConnectors(registry_);
     memh_.fx.noteInto(registry_);
     // 2 host cycles of FM<->TM sync plus the §4.7 statistics mechanism.
     registry_.setPerCycleOverhead(2 + cfg_.statsHostOverhead);
 
-    // The whole core is one sync domain: the five stages mutate the
-    // shared CoreState directly, fetch/issue call the caches' access
-    // paths synchronously, and the fill walk chains down to mem — none
-    // of that is connector traffic, so no partitioner may split it.
-    // (MemHierarchy's standalone &fx domain is widened here.)
-    for (Module *m : registry_.modules())
-        m->setSyncDomain(&state_);
+    // The whole core is one sync domain: the fill walk chains down to mem
+    // through synchronous calls.  (MemHierarchy's standalone &fx domain
+    // is widened here.)
+    slice_.joinSyncDomain({&memh_.l1i, &memh_.l1d, &memh_.l2, &memh_.mem});
 
     // BSP-parallel TM.  For this fully entangled single-core fabric the
     // partitioner collapses to one partition and forThreads() returns
@@ -62,42 +42,34 @@ Core::Core(const CoreConfig &cfg, TraceBuffer &tb)
     sched_ = BspScheduler::forThreads(registry_, cfg_.tmThreads);
 
     stCycles_ = stats_.handle("cycles");
-    stCommittedInsts_ = commitM_.stats().handle("committed_insts");
-    stFetchedInsts_ = fetchM_.stats().handle("fetched_insts");
-}
-
-std::vector<TmEvent>
-Core::drainEvents()
-{
-    std::vector<TmEvent> out;
-    out.swap(state_.events);
-    return out;
+    stCommittedInsts_ =
+        slice_.commitStage().stats().handle("committed_insts");
+    stFetchedInsts_ = slice_.fetchStage().stats().handle("fetched_insts");
 }
 
 void
 Core::sampleStatsFabric()
 {
-    if (state_.bbCount - lastSampleBb_ < cfg_.statsIntervalBb)
+    modules::CoreState &st = slice_.state();
+    if (st.bbCount - lastSampleBb_ < cfg_.statsIntervalBb)
         return;
-    lastSampleBb_ = state_.bbCount;
-    const double icache = state_.intIcacheAcc
-                              ? double(state_.intIcacheHit) /
-                                    double(state_.intIcacheAcc)
-                              : 1.0;
-    const double bp = state_.intBranches
-                          ? 1.0 - double(state_.intMispredicts) /
-                                      double(state_.intBranches)
-                          : 1.0;
-    const double drain = state_.intCycles
-                             ? double(state_.intDrainCycles) /
-                                   double(state_.intCycles)
-                             : 0.0;
-    sIcache_.record(state_.bbCount, icache * 100.0);
-    sBp_.record(state_.bbCount, bp * 100.0);
-    sDrain_.record(state_.bbCount, drain * 100.0);
-    state_.intIcacheAcc = state_.intIcacheHit = 0;
-    state_.intBranches = state_.intMispredicts = 0;
-    state_.intDrainCycles = state_.intCycles = 0;
+    lastSampleBb_ = st.bbCount;
+    const double icache =
+        st.intIcacheAcc ? double(st.intIcacheHit) / double(st.intIcacheAcc)
+                        : 1.0;
+    const double bp =
+        st.intBranches
+            ? 1.0 - double(st.intMispredicts) / double(st.intBranches)
+            : 1.0;
+    const double drain =
+        st.intCycles ? double(st.intDrainCycles) / double(st.intCycles)
+                     : 0.0;
+    sIcache_.record(st.bbCount, icache * 100.0);
+    sBp_.record(st.bbCount, bp * 100.0);
+    sDrain_.record(st.bbCount, drain * 100.0);
+    st.intIcacheAcc = st.intIcacheHit = 0;
+    st.intBranches = st.intMispredicts = 0;
+    st.intDrainCycles = st.intCycles = 0;
 }
 
 void
@@ -105,6 +77,7 @@ Core::tick()
 {
     using modules::DynInst;
     using modules::UopSlot;
+    modules::CoreState &st = slice_.state();
 
     // One seam drives the whole fabric: connectors advance first (entries
     // pushed in earlier cycles become visible, per-cycle throughput
@@ -116,34 +89,33 @@ Core::tick()
     unsigned host_this_cycle;
     if (sched_) {
         sched_->driverRole.assertHeld();
-        host_this_cycle = sched_->tickAll(state_.cycle);
+        host_this_cycle = sched_->tickAll(st.cycle);
     } else {
-        host_this_cycle = registry_.tickAll(state_.cycle);
+        host_this_cycle = registry_.tickAll(st.cycle);
     }
 
-    ++state_.intCycles;
-    if (state_.awaitingResteer)
-        ++state_.intDrainCycles; // waiting for wrong-path entries: starved
+    ++st.intCycles;
+    if (st.awaitingResteer)
+        ++st.intDrainCycles; // waiting for wrong-path entries: starved
     sampleStatsFabric();
 
     // Run-time hardware queries (§3): free of host-cycle cost.
     if (!triggers_.empty()) {
         CycleSnapshot snap;
-        snap.cycle = state_.cycle;
-        for (const DynInst &di : state_.rob)
+        snap.cycle = st.cycle;
+        for (const DynInst &di : st.rob)
             for (const UopSlot &u : di.uops)
-                if (u.st == UopSlot::St::Exec && u.readyAt > state_.cycle)
+                if (u.st == UopSlot::St::Exec && u.readyAt > st.cycle)
                     ++snap.activeFus;
-        snap.robOccupancy = state_.robUops;
-        snap.rsOccupancy = state_.rsUsed;
-        snap.lsqOccupancy = state_.lsqUsed;
+        snap.robOccupancy = st.robUops;
+        snap.rsOccupancy = st.rsUsed;
+        snap.lsqOccupancy = st.lsqUsed;
         snap.committedThisCycle = static_cast<unsigned>(
             stCommittedInsts_.value() - lastCommitSample_);
         snap.fetchedThisCycle = static_cast<unsigned>(
             stFetchedInsts_.value() - lastFetchSample_);
         snap.fetchStalled = snap.fetchedThisCycle == 0;
-        snap.draining =
-            state_.drainForMispredict || state_.awaitingResteer;
+        snap.draining = st.drainForMispredict || st.awaitingResteer;
         lastCommitSample_ = stCommittedInsts_.value();
         lastFetchSample_ = stFetchedInsts_.value();
         for (TriggerQuery &t : triggers_)
@@ -151,7 +123,7 @@ Core::tick()
     }
 
     hostCycles_ += host_this_cycle;
-    ++state_.cycle;
+    ++st.cycle;
     ++stCycles_;
 }
 
@@ -160,31 +132,8 @@ Core::tick()
 void
 Core::saveState(serialize::Sink &s) const
 {
-    fastsim_assert(quiescedForSnapshot() && state_.events.empty());
-
-    s.put<Cycle>(state_.cycle);
-    s.put<std::uint64_t>(state_.seqGen);
-    s.put<std::uint64_t>(state_.committedInsts);
-    s.put<std::uint64_t>(state_.committedUops);
-    s.put<InstNum>(state_.nextFetchIn);
-    s.put<Epoch>(state_.expectedEpoch);
-    s.put<Cycle>(state_.fetchBusyUntil);
-    s.put<std::uint8_t>(state_.drainRequested);
-    s.put<std::uint64_t>(state_.bbCount);
-    s.put<std::uint64_t>(state_.intIcacheAcc);
-    s.put<std::uint64_t>(state_.intIcacheHit);
-    s.put<std::uint64_t>(state_.intBranches);
-    s.put<std::uint64_t>(state_.intMispredicts);
-    s.put<std::uint64_t>(state_.intDrainCycles);
-    s.put<std::uint64_t>(state_.intCycles);
-    for (const auto *v :
-         {&state_.aluFreeAt, &state_.buFreeAt, &state_.lsuFreeAt}) {
-        s.put<std::uint32_t>(static_cast<std::uint32_t>(v->size()));
-        for (Cycle c : *v)
-            s.put<Cycle>(c);
-    }
-
-    bp_->save(s);
+    s.put<Cycle>(cycle());
+    slice_.saveState(s);
 
     s.put<HostCycle>(hostCycles_);
     s.put<std::uint64_t>(lastCommitSample_);
@@ -204,41 +153,14 @@ Core::saveState(serialize::Sink &s) const
     // queues (legal across a quiesced boundary) follow explicitly.
     registry_.saveAll(s);
     memh_.fx.save(s);
-    for (const ConnectorBase *c :
-         {static_cast<const ConnectorBase *>(&state_.fetchToDispatch),
-          static_cast<const ConnectorBase *>(&state_.dispatchToIssue),
-          static_cast<const ConnectorBase *>(&state_.execToWriteback),
-          static_cast<const ConnectorBase *>(&state_.writebackToCommit),
-          static_cast<const ConnectorBase *>(&state_.commitToFetch)})
-        serialize::putGroup(s, c->stats());
+    slice_.saveConnectorStats(s);
 }
 
 void
 Core::restoreState(serialize::Source &s)
 {
-    state_.cycle = s.get<Cycle>();
-    state_.seqGen = s.get<std::uint64_t>();
-    state_.committedInsts = s.get<std::uint64_t>();
-    state_.committedUops = s.get<std::uint64_t>();
-    state_.nextFetchIn = s.get<InstNum>();
-    state_.expectedEpoch = s.get<Epoch>();
-    state_.fetchBusyUntil = s.get<Cycle>();
-    state_.drainRequested = s.get<std::uint8_t>();
-    state_.bbCount = s.get<std::uint64_t>();
-    state_.intIcacheAcc = s.get<std::uint64_t>();
-    state_.intIcacheHit = s.get<std::uint64_t>();
-    state_.intBranches = s.get<std::uint64_t>();
-    state_.intMispredicts = s.get<std::uint64_t>();
-    state_.intDrainCycles = s.get<std::uint64_t>();
-    state_.intCycles = s.get<std::uint64_t>();
-    for (auto *v : {&state_.aluFreeAt, &state_.buFreeAt, &state_.lsuFreeAt}) {
-        s.require(s.get<std::uint32_t>() == v->size(),
-                  "functional-unit count mismatch");
-        for (Cycle &c : *v)
-            c = s.get<Cycle>();
-    }
-
-    bp_->restore(s);
+    const Cycle cycle = s.get<Cycle>();
+    slice_.restoreState(s, cycle);
 
     hostCycles_ = s.get<HostCycle>();
     lastCommitSample_ = s.get<std::uint64_t>();
@@ -256,43 +178,16 @@ Core::restoreState(serialize::Source &s)
 
     registry_.restoreAll(s);
     memh_.fx.restore(s);
-    for (ConnectorBase *c :
-         {static_cast<ConnectorBase *>(&state_.fetchToDispatch),
-          static_cast<ConnectorBase *>(&state_.dispatchToIssue),
-          static_cast<ConnectorBase *>(&state_.execToWriteback),
-          static_cast<ConnectorBase *>(&state_.writebackToCommit),
-          static_cast<ConnectorBase *>(&state_.commitToFetch)})
-        serialize::getGroup(s, c->stats());
-
-    // In-flight state: a quiesced boundary has none.
-    state_.rob.clear();
-    state_.doneSeqs.clear();
-    state_.retireReady.clear();
-    state_.robUops = 0;
-    state_.rsUsed = 0;
-    state_.lsqUsed = 0;
-    state_.awaitingResteer = false;
-    state_.drainForMispredict = false;
-    state_.serializeInFlight = false;
-    state_.events.clear();
-    state_.rebuildRenameTable();
+    slice_.restoreConnectorStats(s);
 }
 
 FpgaCost
 Core::fpgaCost() const
 {
-    FpgaCost c;
-    // The predictor is the only sub-model outside the registry; the cache
-    // levels, memory model and iTLB roll up as modules below.
-    c += bp_->cost();
-
-    // Stage + memory modules (Table-2 rollup through the registry).
-    c += registry_.fpgaCost();
-
-    // Connectors are "under-optimized regarding area, especially in the
-    // block RAMs" (§4.7).
-    c.blockRams += 24.0 + (cfg_.issueWidth > 1 ? 3.2 : 0.0);
-    c.slices += 1200.0;
+    // Stage + memory modules (Table-2 rollup through the registry), then
+    // the predictor and the connector overhead.
+    FpgaCost c = registry_.fpgaCost();
+    slice_.addFpgaCost(c);
     return c;
 }
 

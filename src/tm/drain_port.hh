@@ -3,9 +3,9 @@
  * The narrow face of a timing-model core the FM<->TM protocol engine
  * drives (fast/protocol.cc): request a pipeline drain, observe drain
  * completion and the resume point, and acknowledge the resteer epoch
- * bump.  Extracting it lets one ProtocolEngine implementation serve both
- * the single-core tm::Core facade and each per-core slice of the SMP
- * fabric (tm/smp_core.hh) without the engine knowing which it holds.
+ * bump.  tm::CoreSlice (tm/core_slice.hh) implements it for one core of
+ * either facade; the face keeps the engine's header free of the timing
+ * model's.
  */
 
 #ifndef FASTSIM_TM_DRAIN_PORT_HH

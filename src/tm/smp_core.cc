@@ -5,83 +5,13 @@
 namespace fastsim {
 namespace tm {
 
-using modules::CoreState;
 using modules::SmpL1Module;
 
-/**
- * One core slice: the single-core fabric under a "cN." prefix, sync-
- * domained on its own CoreState, with SMP L1s in place of the synchronous
- * cache hierarchy.
- */
-struct SmpCore::Slice : CoreDrainPort
+SmpCore::CoreMem::CoreMem(const CoreConfig &cfg, const std::string &prefix)
+    : fx(resolveMemTopology(cfg), prefix),
+      snoop(prefix + "snoop", ConnectorParams{0, 0, 1, 0})
 {
-    Slice(const CoreConfig &cfg, unsigned id_, TraceBuffer &tb_)
-        : id(id_), prefix("c" + std::to_string(id_) + "."), tb(tb_),
-          bp(makeBranchPredictor(cfg.bp)),
-          fx(resolveMemTopology(cfg), prefix),
-          snoop(prefix + "snoop", ConnectorParams{0, 0, 1, 0}),
-          itlb(prefix + "itlb", cfg.itlbEntries, cfg.tlbMissPenalty),
-          state(cfg, resolveTopology(cfg), prefix),
-          l1i(cfg.caches.l1i, SmpL1Module::Role::Instr, id_,
-              effectiveMshrDepth(cfg.caches.l1i, cfg.mem.l1iMshrs), state,
-              fx.l1iToL2, fx.l2ToL1i, fx.fetchToL1i, fx.l1iToFetch,
-              nullptr, prefix),
-          l1d(cfg.caches.l1d, SmpL1Module::Role::Data, id_,
-              effectiveMshrDepth(cfg.caches.l1d, cfg.mem.l1dMshrs), state,
-              fx.l1dToL2, fx.l2ToL1d, fx.issueToL1d, fx.l1dToIssue, &snoop,
-              prefix),
-          commit(cfg, state, tb_, prefix), writeback(cfg, state, prefix),
-          issueExec(cfg, state, l1d, fx, prefix),
-          dispatch(cfg, state, prefix),
-          fetch(cfg, state, tb_, *bp, l1i, itlb, fx, prefix)
-    {
-        l1d.setSibling(&l1i);
-        state.onCommit = &onCommitFn;
-    }
-
-    unsigned id = 0;
-    std::string prefix;
-    TraceBuffer &tb;
-    std::unique_ptr<BranchPredictor> bp;
-    modules::MemFabric fx; //!< per-core edges; l2<->mem pair unused
-    Connector<modules::SnoopMsg> snoop;
-    modules::TlbModule itlb;
-    CoreState state;
-    SmpL1Module l1i;
-    SmpL1Module l1d;
-    modules::CommitModule commit;
-    modules::WritebackModule writeback;
-    modules::IssueExecModule issueExec;
-    modules::DispatchModule dispatch;
-    modules::FetchModule fetch;
-    std::function<void(const fm::TraceEntry &)> onCommitFn;
-
-    // --- CoreDrainPort (driven by this core's ProtocolEngine) ------------
-    void requestDrain() override { state.drainRequested = true; }
-    bool
-    drained() const override
-    {
-        return state.rob.empty() && state.fetchToDispatch.empty();
-    }
-    InstNum nextFetchIn() const override { return state.nextFetchIn; }
-    void
-    noteResteer() override
-    {
-        ++state.expectedEpoch;
-        state.drainRequested = false;
-    }
-
-    bool
-    quiesced() const
-    {
-        return drained() && state.dispatchToIssue.empty() &&
-               state.execToWriteback.empty() &&
-               state.writebackToCommit.empty() &&
-               state.commitToFetch.empty() && !state.awaitingResteer &&
-               !state.drainForMispredict && !state.serializeInFlight &&
-               state.robUops == 0;
-    }
-};
+}
 
 SmpCore::~SmpCore() = default;
 
@@ -92,13 +22,33 @@ SmpCore::SmpCore(const CoreConfig &cfg, std::vector<TraceBuffer *> tbs)
       stats_("smp_core")
 {
     fastsim_assert(!tbs.empty() && tbs.size() <= 32);
-    for (unsigned i = 0; i < tbs.size(); ++i)
-        slices_.push_back(std::make_unique<Slice>(cfg_, i, *tbs[i]));
+    for (unsigned i = 0; i < tbs.size(); ++i) {
+        const std::string prefix = "c" + std::to_string(i) + ".";
+        CoreMem &m = *mems_.emplace_back(
+            std::make_unique<CoreMem>(cfg_, prefix));
+        auto make_l1s = [&](modules::CoreState &st) {
+            const HierarchyParams &c = cfg_.caches;
+            m.l1i = std::make_unique<SmpL1Module>(
+                c.l1i, SmpL1Module::Role::Instr, i,
+                effectiveMshrDepth(c.l1i, cfg_.mem.l1iMshrs), st,
+                m.fx.l1iToL2, m.fx.l2ToL1i, m.fx.fetchToL1i, m.fx.l1iToFetch,
+                nullptr, prefix);
+            m.l1d = std::make_unique<SmpL1Module>(
+                c.l1d, SmpL1Module::Role::Data, i,
+                effectiveMshrDepth(c.l1d, cfg_.mem.l1dMshrs), st,
+                m.fx.l1dToL2, m.fx.l2ToL1d, m.fx.issueToL1d, m.fx.l1dToIssue,
+                &m.snoop, prefix);
+            m.l1d->setSibling(m.l1i.get());
+            return CoreSlice::L1Ports{*m.l1i, *m.l1d};
+        };
+        slices_.push_back(std::make_unique<CoreSlice>(cfg_, *tbs[i], m.fx,
+                                                      prefix, make_l1s));
+    }
 
     std::vector<modules::SmpCoreLinks> links;
-    for (auto &s : slices_)
-        links.push_back({&s->fx.l1iToL2, &s->fx.l1dToL2, &s->fx.l2ToL1i,
-                         &s->fx.l2ToL1d, &s->snoop});
+    for (auto &m : mems_)
+        links.push_back({&m->fx.l1iToL2, &m->fx.l1dToL2, &m->fx.l2ToL1i,
+                         &m->fx.l2ToL1d, &m->snoop});
     l2_ = std::make_unique<modules::SharedL2Module>(
         cfg_.caches.l2,
         effectiveMshrDepth(cfg_.caches.l2, cfg_.mem.l2Mshrs),
@@ -109,35 +59,28 @@ SmpCore::SmpCore(const CoreConfig &cfg, std::vector<TraceBuffer *> tbs)
     // the shared L2/mem tick last so a request launched in cycle T is
     // never serviced before T+1 — identical to the barrier semantics of
     // a partitioned run.
-    for (auto &s : slices_) {
-        registry_.add(s->commit);
-        registry_.add(s->writeback);
-        registry_.add(s->issueExec);
-        registry_.add(s->dispatch);
-        registry_.add(s->fetch);
-        registry_.add(s->l1i);
-        registry_.add(s->l1d);
-        registry_.add(s->itlb);
+    for (unsigned i = 0; i < numCores(); ++i) {
+        slices_[i]->addStages(registry_);
+        registry_.add(*mems_[i]->l1i);
+        registry_.add(*mems_[i]->l1d);
+        registry_.add(slices_[i]->itlb());
     }
     registry_.add(*l2_);
     registry_.add(mem_);
 
-    for (auto &s : slices_) {
-        registry_.noteConnector(s->state.fetchToDispatch);
-        registry_.noteConnector(s->state.dispatchToIssue);
-        registry_.noteConnector(s->state.execToWriteback);
-        registry_.noteConnector(s->state.writebackToCommit);
-        registry_.noteConnector(s->state.commitToFetch);
-        registry_.noteConnector(s->fx.fetchToL1i);
-        registry_.noteConnector(s->fx.l1iToFetch);
-        registry_.noteConnector(s->fx.issueToL1d);
-        registry_.noteConnector(s->fx.l1dToIssue);
-        registry_.noteConnector(s->fx.l1iToL2);
-        registry_.noteConnector(s->fx.l2ToL1i);
-        registry_.noteConnector(s->fx.l1dToL2);
-        registry_.noteConnector(s->fx.l2ToL1d);
-        registry_.noteConnector(s->snoop);
-        // The slice's own l2_to_mem/mem_to_l2 pair is deliberately
+    for (unsigned i = 0; i < numCores(); ++i) {
+        slices_[i]->noteConnectors(registry_);
+        CoreMem &m = *mems_[i];
+        registry_.noteConnector(m.fx.fetchToL1i);
+        registry_.noteConnector(m.fx.l1iToFetch);
+        registry_.noteConnector(m.fx.issueToL1d);
+        registry_.noteConnector(m.fx.l1dToIssue);
+        registry_.noteConnector(m.fx.l1iToL2);
+        registry_.noteConnector(m.fx.l2ToL1i);
+        registry_.noteConnector(m.fx.l1dToL2);
+        registry_.noteConnector(m.fx.l2ToL1d);
+        registry_.noteConnector(m.snoop);
+        // The core's own l2_to_mem/mem_to_l2 pair is deliberately
         // unused (misses go to the *shared* L2) and stays un-noted so
         // the fabric graph carries no dangling edges (FAB002).
     }
@@ -145,18 +88,13 @@ SmpCore::SmpCore(const CoreConfig &cfg, std::vector<TraceBuffer *> tbs)
     registry_.noteConnector(smpFx_.memToL2);
     registry_.setPerCycleOverhead(2 + cfg_.statsHostOverhead);
 
-    // Sync domains: each slice's stages, L1s and iTLB share that core's
+    // Sync domains: each core's slice and L1s share that core's
     // CoreState (l1d also invalidates its sibling's tags); the shared
     // L2 and the memory model speak synchronously through smpFx_.  The
     // partitioner thus proves numCores + 1 partitions, every cut edge a
     // latency >= 1, unbounded coherence Connector (FAB013).
-    for (auto &s : slices_) {
-        Module *mods[] = {&s->commit, &s->writeback, &s->issueExec,
-                          &s->dispatch, &s->fetch, &s->l1i, &s->l1d,
-                          &s->itlb};
-        for (Module *m : mods)
-            m->setSyncDomain(&s->state);
-    }
+    for (unsigned i = 0; i < numCores(); ++i)
+        slices_[i]->joinSyncDomain({mems_[i]->l1i.get(), mems_[i]->l1d.get()});
     l2_->setSyncDomain(&smpFx_);
     mem_.setSyncDomain(&smpFx_);
 
@@ -176,23 +114,9 @@ SmpCore::tick()
     hostCycles_ += host;
     ++cycle_;
     for (auto &s : slices_) {
-        s->state.cycle = cycle_;
-        ++s->state.intCycles;
+        s->state().cycle = cycle_;
+        ++s->state().intCycles;
     }
-}
-
-CoreDrainPort &
-SmpCore::drainPort(unsigned i)
-{
-    return *slices_.at(i);
-}
-
-std::vector<TmEvent>
-SmpCore::drainEvents(unsigned i)
-{
-    std::vector<TmEvent> out;
-    out.swap(slices_.at(i)->state.events);
-    return out;
 }
 
 std::uint64_t
@@ -200,33 +124,8 @@ SmpCore::committedInstsTotal() const
 {
     std::uint64_t n = 0;
     for (const auto &s : slices_)
-        n += s->state.committedInsts;
+        n += s->state().committedInsts;
     return n;
-}
-
-void
-SmpCore::clearDrainRequest(unsigned i)
-{
-    slices_.at(i)->state.drainRequested = false;
-}
-
-void
-SmpCore::setOnCommit(unsigned i,
-                     std::function<void(const fm::TraceEntry &)> fn)
-{
-    slices_.at(i)->onCommitFn = std::move(fn);
-}
-
-const CoreState &
-SmpCore::sliceState(unsigned i) const
-{
-    return slices_.at(i)->state;
-}
-
-bool
-SmpCore::sliceDrained(unsigned i) const
-{
-    return slices_.at(i)->drained();
 }
 
 bool
@@ -238,24 +137,12 @@ SmpCore::quiescedForSnapshot() const
     return true;
 }
 
-SmpL1Module &
-SmpCore::l1i(unsigned i)
-{
-    return slices_.at(i)->l1i;
-}
-
-SmpL1Module &
-SmpCore::l1d(unsigned i)
-{
-    return slices_.at(i)->l1d;
-}
-
 std::size_t
 SmpCore::coherenceTokensInFlight(unsigned i) const
 {
-    const Slice &s = *slices_.at(i);
-    return s.fx.l1iToL2.size() + s.fx.l2ToL1i.size() +
-           s.fx.l1dToL2.size() + s.fx.l2ToL1d.size() + s.snoop.size();
+    const CoreMem &m = *mems_.at(i);
+    return m.fx.l1iToL2.size() + m.fx.l2ToL1i.size() + m.fx.l1dToL2.size() +
+           m.fx.l2ToL1d.size() + m.snoop.size();
 }
 
 // --- snapshot support --------------------------------------------------------
@@ -263,34 +150,10 @@ SmpCore::coherenceTokensInFlight(unsigned i) const
 void
 SmpCore::saveState(serialize::Sink &s) const
 {
-    fastsim_assert(quiescedForSnapshot());
-
     s.put<Cycle>(cycle_);
     s.put<HostCycle>(hostCycles_);
-    for (const auto &sp : slices_) {
-        const CoreState &st = sp->state;
-        fastsim_assert(st.events.empty());
-        s.put<std::uint64_t>(st.seqGen);
-        s.put<std::uint64_t>(st.committedInsts);
-        s.put<std::uint64_t>(st.committedUops);
-        s.put<InstNum>(st.nextFetchIn);
-        s.put<Epoch>(st.expectedEpoch);
-        s.put<Cycle>(st.fetchBusyUntil);
-        s.put<std::uint8_t>(st.drainRequested);
-        s.put<std::uint64_t>(st.bbCount);
-        s.put<std::uint64_t>(st.intIcacheAcc);
-        s.put<std::uint64_t>(st.intIcacheHit);
-        s.put<std::uint64_t>(st.intBranches);
-        s.put<std::uint64_t>(st.intMispredicts);
-        s.put<std::uint64_t>(st.intDrainCycles);
-        s.put<std::uint64_t>(st.intCycles);
-        for (const auto *v : {&st.aluFreeAt, &st.buFreeAt, &st.lsuFreeAt}) {
-            s.put<std::uint32_t>(static_cast<std::uint32_t>(v->size()));
-            for (Cycle c : *v)
-                s.put<Cycle>(c);
-        }
-        sp->bp->save(s);
-    }
+    for (const auto &sp : slices_)
+        sp->saveState(s);
 
     // Modules (L1 tags + pending/dirty lines, L2 tags + MSHRs +
     // directory, mem, iTLB, stage stats) in registration order.
@@ -298,17 +161,10 @@ SmpCore::saveState(serialize::Sink &s) const
 
     // In-flight coherence tokens: a quiesced boundary legally carries
     // outstanding ifetch fills and snoop invalidates.
-    for (const auto &sp : slices_) {
-        sp->fx.save(s);
-        sp->snoop.saveState(s);
-        for (const ConnectorBase *c :
-             {static_cast<const ConnectorBase *>(&sp->state.fetchToDispatch),
-              static_cast<const ConnectorBase *>(&sp->state.dispatchToIssue),
-              static_cast<const ConnectorBase *>(&sp->state.execToWriteback),
-              static_cast<const ConnectorBase *>(
-                  &sp->state.writebackToCommit),
-              static_cast<const ConnectorBase *>(&sp->state.commitToFetch)})
-            serialize::putGroup(s, c->stats());
+    for (unsigned i = 0; i < numCores(); ++i) {
+        mems_[i]->fx.save(s);
+        mems_[i]->snoop.saveState(s);
+        slices_[i]->saveConnectorStats(s);
     }
     smpFx_.save(s);
 }
@@ -318,57 +174,15 @@ SmpCore::restoreState(serialize::Source &s)
 {
     cycle_ = s.get<Cycle>();
     hostCycles_ = s.get<HostCycle>();
-    for (auto &sp : slices_) {
-        CoreState &st = sp->state;
-        st.cycle = cycle_;
-        st.seqGen = s.get<std::uint64_t>();
-        st.committedInsts = s.get<std::uint64_t>();
-        st.committedUops = s.get<std::uint64_t>();
-        st.nextFetchIn = s.get<InstNum>();
-        st.expectedEpoch = s.get<Epoch>();
-        st.fetchBusyUntil = s.get<Cycle>();
-        st.drainRequested = s.get<std::uint8_t>();
-        st.bbCount = s.get<std::uint64_t>();
-        st.intIcacheAcc = s.get<std::uint64_t>();
-        st.intIcacheHit = s.get<std::uint64_t>();
-        st.intBranches = s.get<std::uint64_t>();
-        st.intMispredicts = s.get<std::uint64_t>();
-        st.intDrainCycles = s.get<std::uint64_t>();
-        st.intCycles = s.get<std::uint64_t>();
-        for (auto *v : {&st.aluFreeAt, &st.buFreeAt, &st.lsuFreeAt}) {
-            s.require(s.get<std::uint32_t>() == v->size(),
-                      "functional-unit count mismatch");
-            for (Cycle &c : *v)
-                c = s.get<Cycle>();
-        }
-        sp->bp->restore(s);
-    }
+    for (auto &sp : slices_)
+        sp->restoreState(s, cycle_);
 
     registry_.restoreAll(s);
 
-    for (auto &sp : slices_) {
-        sp->fx.restore(s);
-        sp->snoop.restoreState(s);
-        for (ConnectorBase *c :
-             {static_cast<ConnectorBase *>(&sp->state.fetchToDispatch),
-              static_cast<ConnectorBase *>(&sp->state.dispatchToIssue),
-              static_cast<ConnectorBase *>(&sp->state.execToWriteback),
-              static_cast<ConnectorBase *>(&sp->state.writebackToCommit),
-              static_cast<ConnectorBase *>(&sp->state.commitToFetch)})
-            serialize::getGroup(s, c->stats());
-
-        CoreState &st = sp->state;
-        st.rob.clear();
-        st.doneSeqs.clear();
-        st.retireReady.clear();
-        st.robUops = 0;
-        st.rsUsed = 0;
-        st.lsqUsed = 0;
-        st.awaitingResteer = false;
-        st.drainForMispredict = false;
-        st.serializeInFlight = false;
-        st.events.clear();
-        st.rebuildRenameTable();
+    for (unsigned i = 0; i < numCores(); ++i) {
+        mems_[i]->fx.restore(s);
+        mems_[i]->snoop.restoreState(s);
+        slices_[i]->restoreConnectorStats(s);
     }
     smpFx_.restore(s);
 }
@@ -377,12 +191,8 @@ FpgaCost
 SmpCore::fpgaCost() const
 {
     FpgaCost c = registry_.fpgaCost();
-    for (const auto &s : slices_) {
-        c += s->bp->cost();
-        // Per-core connector overhead, as in the single-core facade.
-        c.blockRams += 24.0 + (cfg_.issueWidth > 1 ? 3.2 : 0.0);
-        c.slices += 1200.0;
-    }
+    for (const auto &s : slices_)
+        s->addFpgaCost(c);
     return c;
 }
 

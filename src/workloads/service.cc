@@ -199,7 +199,9 @@ ServiceMonitor::settle(GenState &g, Cycle now)
     while (g.answered < g.samples.size() &&
            g.samples[g.answered].seq <= g.respHigh) {
         ServiceSample &s = g.samples[g.answered];
-        s.answered = std::max(now, s.issued); // clamp latency at zero
+        if (now < s.issued)
+            ++latencyClamped_; // latency clamped at zero, and counted
+        s.answered = std::max(now, s.issued);
         ++g.answered;
     }
 }
@@ -227,6 +229,7 @@ ServiceMonitor::report() const
         }
     }
     r.completed = latencies.size();
+    r.latencyClamped = latencyClamped_;
     std::sort(latencies.begin(), latencies.end());
     r.p50 = percentile(latencies, 0.50);
     r.p95 = percentile(latencies, 0.95);
@@ -250,6 +253,7 @@ ServiceReport::json() const
        << ",\"last_answer_cycle\":" << lastAnswer
        << ",\"latency_cycles\":{\"p50\":" << p50 << ",\"p95\":" << p95
        << ",\"p99\":" << p99 << "}"
+       << ",\"latency_clamped\":" << latencyClamped
        << ",\"requests_per_sec\":" << requestsPerSec
        << ",\"target_hz\":" << ServiceReport::TargetHz << "}";
     return os.str();

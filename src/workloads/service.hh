@@ -93,6 +93,10 @@ struct ServiceReport
     Cycle lastAnswer = 0;
     Cycle p50 = 0, p95 = 0, p99 = 0; //!< request latency percentiles, cycles
     double requestsPerSec = 0;       //!< at the 1 GHz target clock below
+    /** Responses observed at a cycle before their request's: each is
+     *  recorded with latency 0 (so the percentiles keep their meaning)
+     *  and counted here, never dropped silently. */
+    std::uint64_t latencyClamped = 0;
     std::vector<ServiceSample> samples;
 
     /** Target clock assumed when converting cycles to wall-clock rates.
@@ -143,6 +147,7 @@ class ServiceMonitor
     ServiceConfig cfg_;
     fast::SmpSimulator &sim_;
     std::vector<GenState> gens_;
+    std::uint64_t latencyClamped_ = 0; //!< ServiceReport::latencyClamped
 };
 
 } // namespace workloads

@@ -526,4 +526,70 @@ INSTANTIATE_TEST_SUITE_P(
         return std::to_string(info.param) + "core";
     });
 
+// --- pinned snapshot bytes ---------------------------------------------------
+
+/**
+ * The FNV-1a digest of one whole snapshot image (header + payload), taken
+ * at a fixed cycle: gzip on one core, the service workload on four cores
+ * at tmThreads = 1.  The literals pin the v6 byte layout, so a change
+ * meant to be layout-neutral (a refactor of the timing-model facades, a
+ * reordered save call) fails here instead of silently changing what an
+ * older checkpoint restores into.  Re-pin a literal only together with a
+ * fast::snapshot_io::SnapshotVersion bump, or with a named counter change
+ * (the statistics sections carry every counter's name).
+ */
+class SnapshotGolden : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(SnapshotGolden, ImageDigestMatchesLiteral)
+{
+    const unsigned cores = GetParam();
+    fast::FastConfig cfg;
+    cfg.fm.ramBytes = kernel::MemoryMap::RamBytes;
+    cfg.guardrails.hashCommits = true;
+    cfg.numCores = cores;
+    cfg.core.tmThreads = 1;
+    const std::string p = ckptPath("golden_" + std::to_string(cores) + "core");
+
+    // Run to a fixed cycle, then drain to the next quiesced boundary.
+    Cycle at = 0;
+    std::uint64_t expected = 0;
+    if (cores == 1) {
+        auto opts =
+            workloads::bootOptionsFor(workloads::byName("164.gzip"), 500);
+        opts.timerInterval = 4000;
+        fast::FastSimulator sim(cfg);
+        sim.boot(kernel::buildBootImage(opts));
+        sim.run(30000);
+        ASSERT_TRUE(sim.checkpointNow(p));
+        at = sim.cycle();
+        expected = 0x51f6f2628f103af2ull;
+    } else {
+        workloads::ServiceConfig svc;
+        svc.loadGenerators = cores - 1;
+        svc.requestsPerGen = 4;
+        fast::SmpSimulator sim(cfg);
+        sim.boot(kernel::buildBootImage(workloads::serviceBootOptions(svc)));
+        sim.run(60000);
+        ASSERT_TRUE(sim.checkpointNow(p));
+        at = sim.cycle();
+        expected = 0xd84c7cd1a66de59eull;
+    }
+    const std::vector<std::uint8_t> image = fast::snapshot_io::readFile(p);
+    std::remove(p.c_str());
+    ASSERT_GE(image.size(), 32u);
+    ASSERT_EQ(image[4], fast::snapshot_io::SnapshotVersion);
+    const std::uint64_t digest = serialize::fnv1a(image.data(), image.size());
+    EXPECT_EQ(digest, expected)
+        << std::hex << "image digest 0x" << digest << std::dec << " ("
+        << image.size() << " bytes, quiesced at cycle " << at << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cores, SnapshotGolden, ::testing::Values(1u, 4u),
+    [](const ::testing::TestParamInfo<unsigned> &info) {
+        return std::to_string(info.param) + "core";
+    });
+
 } // namespace

@@ -127,6 +127,26 @@ TEST(SmpService, SamplesCarryPerGeneratorSequences)
     EXPECT_EQ(perGen[1], 3u);
 }
 
+/** A response observed before its request's cycle is recorded with
+ *  latency 0 and counted, and the report carries the count. */
+TEST(SmpService, ReportCountsClampedLatencies)
+{
+    const auto svc = serviceCfg(2, 3);
+    fast::SmpSimulator sim(smpConfig(3));
+    workloads::ServiceMonitor monitor(svc, sim);
+    ASSERT_TRUE(runService(sim, svc).finished);
+
+    const auto rep = monitor.report();
+    std::uint64_t zero_latency = 0;
+    for (const auto &s : rep.samples)
+        zero_latency += s.latency() == 0;
+    EXPECT_LE(rep.latencyClamped, zero_latency);
+    EXPECT_NE(rep.json().find("\"latency_clamped\":" +
+                              std::to_string(rep.latencyClamped) + ","),
+              std::string::npos)
+        << rep.json();
+}
+
 // --- determinism -----------------------------------------------------------
 
 TEST(SmpDeterminism, RepeatedRunsAreBitIdentical)

@@ -8,12 +8,11 @@
  * single slot — below the issue width), so the ring wraps every few
  * instructions, TB-full coincides with fetch starvation, and every
  * producer/consumer index race that host scheduling can produce gets
- * exercised millions of times per run.  Batch size 1 maximizes FM/TM
- * interleaving (one event-ring poll per instruction); large batches
- * maximize run-ahead.  All of it must reproduce the coupled simulator's
- * committed instructions, cycle count, console output and final registers
- * exactly — the coupled runner is the cycle-accurate reference, so any
- * divergence is a synchronization bug by definition.
+ * exercised millions of times per run, at the runner's one fixed
+ * schedule (DESIGN.md §12).  All of it must reproduce the coupled
+ * simulator's committed instructions, cycle count, console output and
+ * final registers exactly — the coupled runner is the cycle-accurate
+ * reference, so any divergence is a synchronization bug by definition.
  *
  * Note the coupled reference is re-run per trace-buffer capacity: capacity
  * changes target fetch behaviour (a full buffer stalls the front end), so
@@ -35,14 +34,13 @@ using isa::Assembler;
 using namespace isa;
 
 FastConfig
-stressConfig(tm::BpKind kind, std::size_t tb_entries, unsigned batch)
+stressConfig(tm::BpKind kind, std::size_t tb_entries)
 {
     FastConfig cfg;
     cfg.fm.ramBytes = kernel::MemoryMap::RamBytes;
     cfg.core.bp.kind = kind;
     cfg.core.statsIntervalBb = 1u << 30;
     cfg.traceBufferEntries = tb_entries;
-    cfg.fmBatchInsts = batch;
     return cfg;
 }
 
@@ -123,39 +121,32 @@ expectIdentical(const GuestResult &par, const GuestResult &ref,
 /**
  * The core sweep: trace-buffer capacities from one slot (below the issue
  * width, so the full-buffer tick-gate term carries every cycle) up to a
- * small power of two, crossed with FM batch sizes from fully interleaved
- * to deep run-ahead.
+ * small power of two.
  */
 TEST(SpscStress, TinyTraceBuffersBitIdenticalToCoupled)
 {
     const auto image = stressImage(120);
     const std::size_t capacities[] = {1, 2, 3, 8};
-    const unsigned batches[] = {1, 3, 64};
 
     for (std::size_t cap : capacities) {
-        const auto ref =
-            runCoupled(stressConfig(tm::BpKind::Gshare, cap, 64), image);
+        const auto cfg = stressConfig(tm::BpKind::Gshare, cap);
+        const auto ref = runCoupled(cfg, image);
         ASSERT_GT(ref.insts, 1000u);
-        for (unsigned batch : batches) {
-            const auto par = runParallel(
-                stressConfig(tm::BpKind::Gshare, cap, batch), image);
-            expectIdentical(par, ref,
-                            "capacity=" + std::to_string(cap) +
-                                " batch=" + std::to_string(batch));
-        }
+        expectIdentical(runParallel(cfg, image), ref,
+                        "capacity=" + std::to_string(cap));
     }
 }
 
-/** Branch-predictor sweep at a hostile geometry: capacity 2 = issue width,
- *  batch 1.  Gshare/TwoBit exercise the wrong-path resteer rendezvous
- *  constantly; Perfect exercises the pure producer/consumer path. */
+/** Branch-predictor sweep at a hostile geometry: capacity 2 = issue width.
+ *  Gshare/TwoBit exercise the wrong-path resteer rendezvous constantly;
+ *  Perfect exercises the pure producer/consumer path. */
 TEST(SpscStress, BpKindsBitIdenticalAtCapacityTwo)
 {
     const auto image = stressImage(150);
     for (tm::BpKind kind :
          {tm::BpKind::Gshare, tm::BpKind::TwoBit, tm::BpKind::Perfect}) {
-        const auto ref = runCoupled(stressConfig(kind, 2, 64), image);
-        const auto par = runParallel(stressConfig(kind, 2, 1), image);
+        const auto ref = runCoupled(stressConfig(kind, 2), image);
+        const auto par = runParallel(stressConfig(kind, 2), image);
         expectIdentical(par, ref,
                         "bp=" + std::to_string(static_cast<int>(kind)));
     }
@@ -166,7 +157,7 @@ TEST(SpscStress, BpKindsBitIdenticalAtCapacityTwo)
 TEST(SpscStress, RepeatedHostileRunsStable)
 {
     const auto image = stressImage(100);
-    const auto cfg = stressConfig(tm::BpKind::Gshare, 3, 1);
+    const auto cfg = stressConfig(tm::BpKind::Gshare, 3);
     const auto ref = runCoupled(cfg, image);
     for (int i = 0; i < 4; ++i) {
         const auto par = runParallel(cfg, image);
@@ -178,7 +169,7 @@ TEST(SpscStress, RepeatedHostileRunsStable)
 TEST(SpscStress, ResteersExercisedUnderStress)
 {
     const auto image = stressImage(150);
-    ParallelFastSimulator par(stressConfig(tm::BpKind::Gshare, 3, 1));
+    ParallelFastSimulator par(stressConfig(tm::BpKind::Gshare, 3));
     par.boot(image);
     auto pr = par.run(80000000);
     ASSERT_TRUE(pr.finished);

@@ -235,13 +235,13 @@ TEST(TmCore, MispredictEmitsProtocolEvents)
     // Tick until the WrongPath event fires (past the cold-TLB/I$ fill).
     for (int i = 0; i < 300 && seen.empty(); ++i) {
         core.tick();
-        for (auto &e : core.drainEvents())
+        for (auto &e : core.slice().drainEvents())
             if (e.kind == TmEvent::Kind::WrongPath)
                 seen.push_back(e);
     }
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_EQ(seen[0].in, 3u); // resteer at branch IN + 1
-    EXPECT_EQ(core.expectedEpoch(), 1u);
+    EXPECT_EQ(core.slice().state().expectedEpoch, 1u);
 
     // Provide wrong-path entries; the branch then resolves and the core
     // emits Resolve and squashes them.
@@ -254,7 +254,7 @@ TEST(TmCore, MispredictEmitsProtocolEvents)
     Addr resolve_pc = 0;
     for (int i = 0; i < 100 && !resolved; ++i) {
         core.tick();
-        for (auto &e : core.drainEvents())
+        for (auto &e : core.slice().drainEvents())
             if (e.kind == TmEvent::Kind::Resolve) {
                 resolved = true;
                 resolve_in = e.in;
@@ -264,7 +264,7 @@ TEST(TmCore, MispredictEmitsProtocolEvents)
     ASSERT_TRUE(resolved);
     EXPECT_EQ(resolve_in, 3u);
     EXPECT_EQ(resolve_pc, 0x2000u); // the branch's true successor
-    EXPECT_EQ(core.expectedEpoch(), 2u);
+    EXPECT_EQ(core.slice().state().expectedEpoch, 2u);
     EXPECT_GT(core.stats().value("squashed_insts"), 0u);
 
     // Correct-path entries at epoch 2 commit; wrong-path work never does.
@@ -292,14 +292,14 @@ TEST(TmCore, StaleEpochEntriesDropped)
     // IN 2 remain in flight.
     tb.push(mk.alu()); // IN 2, epoch 0 (stale after resteer)
     runUntilCommitted(core, 1, 20);
-    core.requestDrain();
-    while (!core.drained())
+    core.slice().requestDrain();
+    while (!core.slice().drained())
         core.tick();
-    core.noteResteer(); // expected epoch -> 1
+    core.slice().noteResteer(); // expected epoch -> 1
     // New entries at epoch 1 replace the stale one.
     EntryMaker fresh(0x9000);
-    fresh.resteer(core.nextFetchIn(), 1, 0x9000);
-    ASSERT_TRUE(tb.rewindTo(core.nextFetchIn()));
+    fresh.resteer(core.slice().nextFetchIn(), 1, 0x9000);
+    ASSERT_TRUE(tb.rewindTo(core.slice().nextFetchIn()));
     tb.push(fresh.alu());
     tb.push(fresh.alu());
     runUntilCommitted(core, 3);
@@ -344,7 +344,7 @@ TEST(TmCore, ExceptionRefetchesHandlerEntries)
     bool refetch = false;
     while (core.committedInsts() < 4 && core.cycle() < 1000) {
         core.tick();
-        for (auto &e : core.drainEvents())
+        for (auto &e : core.slice().drainEvents())
             if (e.kind == TmEvent::Kind::RefetchAt) {
                 refetch = true;
                 EXPECT_EQ(e.in, 3u);
@@ -378,14 +378,14 @@ TEST(TmCore, ExceptionRefetchWhileDrainRequested)
     while (core.stats().value("fetched_insts") < 2 && core.cycle() < 200)
         core.tick();
     ASSERT_EQ(core.stats().value("fetched_insts"), 2u);
-    core.requestDrain();
+    core.slice().requestDrain();
 
     bool refetch_during_drain = false;
     while (core.committedInsts() < 2 && core.cycle() < 1000) {
         const std::uint64_t d0 =
             core.stats().value("fetch_stall_drainreq");
         core.tick();
-        for (auto &e : core.drainEvents())
+        for (auto &e : core.slice().drainEvents())
             if (e.kind == TmEvent::Kind::RefetchAt &&
                 core.stats().value("fetch_stall_drainreq") > d0) {
                 refetch_during_drain = true;
@@ -398,18 +398,18 @@ TEST(TmCore, ExceptionRefetchWhileDrainRequested)
 
     // The drain request survives the exception flush: the core is drained
     // at the refetch point and fetch stays held until the injection.
-    ASSERT_TRUE(core.drained());
-    EXPECT_EQ(core.nextFetchIn(), 3u);
+    ASSERT_TRUE(core.slice().drained());
+    EXPECT_EQ(core.slice().nextFetchIn(), 3u);
     const std::uint64_t held = core.stats().value("fetch_stall_drainreq");
     core.tick();
     EXPECT_GT(core.stats().value("fetch_stall_drainreq"), held);
 
     // Inject: the runner resteers the producer at IN 3 and the pipeline
     // resumes with handler entries on the new epoch.
-    core.noteResteer();
-    ASSERT_TRUE(tb.rewindTo(core.nextFetchIn()));
+    core.slice().noteResteer();
+    ASSERT_TRUE(tb.rewindTo(core.slice().nextFetchIn()));
     EntryMaker handler(0x8000);
-    handler.resteer(3, core.expectedEpoch(), 0x8000);
+    handler.resteer(3, core.slice().state().expectedEpoch, 0x8000);
     tb.push(handler.alu());
     tb.push(handler.alu());
     runUntilCommitted(core, 4);
@@ -434,7 +434,7 @@ TEST(TmCore, DrainRequestDuringMispredictResteerStillResolves)
     std::vector<TmEvent> wrong;
     for (int i = 0; i < 300 && wrong.empty(); ++i) {
         core.tick();
-        for (auto &e : core.drainEvents())
+        for (auto &e : core.slice().drainEvents())
             if (e.kind == TmEvent::Kind::WrongPath)
                 wrong.push_back(e);
     }
@@ -446,31 +446,32 @@ TEST(TmCore, DrainRequestDuringMispredictResteerStillResolves)
     wp.resteer(3, 1, 0x3000);
     tb.push(wp.alu());
     tb.push(wp.alu());
-    core.requestDrain();
+    core.slice().requestDrain();
 
     bool resolve_during_drain = false;
     for (int i = 0; i < 300 && !resolve_during_drain; ++i) {
         const std::uint64_t d0 =
             core.stats().value("fetch_stall_drainreq");
         core.tick();
-        for (auto &e : core.drainEvents())
+        for (auto &e : core.slice().drainEvents())
             if (e.kind == TmEvent::Kind::Resolve &&
                 core.stats().value("fetch_stall_drainreq") > d0)
                 resolve_during_drain = true;
     }
     EXPECT_TRUE(resolve_during_drain);
-    EXPECT_EQ(core.expectedEpoch(), 2u);
+    EXPECT_EQ(core.slice().state().expectedEpoch, 2u);
 
     // With fetch held, the squashed pipeline drains completely.
-    for (int i = 0; i < 300 && !core.drained(); ++i)
+    for (int i = 0; i < 300 && !core.slice().drained(); ++i)
         core.tick();
-    ASSERT_TRUE(core.drained());
+    ASSERT_TRUE(core.slice().drained());
 
     // Injection proceeds at the branch's resolved successor.
-    core.noteResteer();
-    ASSERT_TRUE(tb.rewindTo(core.nextFetchIn()));
+    core.slice().noteResteer();
+    ASSERT_TRUE(tb.rewindTo(core.slice().nextFetchIn()));
     EntryMaker right(0x2000);
-    right.resteer(core.nextFetchIn(), core.expectedEpoch(), 0x2000);
+    right.resteer(core.slice().nextFetchIn(),
+                  core.slice().state().expectedEpoch, 0x2000);
     tb.push(right.alu());
     tb.push(right.alu());
     runUntilCommitted(core, 4);
